@@ -2,16 +2,19 @@
 
 Four methods are provided: Hamilton/Vinton (largest remainders), Jefferson
 (greatest divisors), Webster (major fractions) and Huntington-Hill (equal
-proportions). All arithmetic is exact: quotas and priority values are
-rationals, and Huntington-Hill priorities are ranked by cross-multiplied
-integer comparison of their squares, so no result ever depends on float
-rounding.
+proportions). All arithmetic is exact: Hamilton's quotas are rationals,
+and each divisor method's priority is an integer (numerator, denominator)
+pair ranked by cross-multiplication. Huntington-Hill ranks the squares of its
+priorities, so no result ever depends on float rounding or square roots.
+The divisor methods keep one entry per state in a heap, so a house of h
+seats over n states costs O(h log n) comparisons.
 
 Ties are broken in favour of the larger population, then by label order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -75,12 +78,37 @@ def hamilton(states: list[StateRecord], house_size: int) -> ApportionmentResult:
                                seats=seats, quotas=quotas)
 
 
+@dataclass(slots=True)
+class _Claim:
+    """A state's bid for its next seat; the heap's smallest claim wins.
+
+    Claims order by priority num/den descending (compared as num * den'
+    against num' * den, exactly), then population descending, then label
+    ascending. Labels are unique, so the order is total.
+    """
+
+    num: int
+    den: int
+    population: int
+    label: str
+
+    def __lt__(self, other: "_Claim") -> bool:
+        lhs, rhs = self.num * other.den, other.num * self.den
+        if lhs != rhs:
+            return lhs > rhs
+        if self.population != other.population:
+            return self.population > other.population
+        return self.label < other.label
+
+
 def _highest_averages(method: str, states: list[StateRecord], house_size: int,
-                      seed: int, key: Callable[[int, int], Fraction]) -> ApportionmentResult:
+                      seed: int, priority: Callable[[int, int], tuple[int, int]]
+                      ) -> ApportionmentResult:
     """Award seats one at a time to the state with the highest priority.
 
-    ``key(population, seats_so_far)`` must be a rational that orders states
-    the same way as the method's priority value.
+    ``priority(population, seats_so_far)`` returns a (numerator, denominator)
+    pair of integers, denominator positive, whose ratio orders states the
+    same way as the method's priority value.
     """
     _check_input(states, house_size)
     seats = {s.label: seed for s in states}
@@ -90,12 +118,16 @@ def _highest_averages(method: str, states: list[StateRecord], house_size: int,
             f"{method} needs at least {seed * len(states)} seats "
             f"for {len(states)} states, got {house_size}"
         )
+    heap = [_Claim(*priority(s.population, seed), s.population, s.label)
+            for s in states]
+    heapq.heapify(heap)
     trace = []
     for rnd in range(1, rounds + 1):
-        best = min(states, key=lambda s: (-key(s.population, seats[s.label]),
-                                          -s.population, s.label))
+        best = heap[0]
         seats[best.label] += 1
         trace.append((rnd, best.label))
+        heapq.heapreplace(heap, _Claim(*priority(best.population, seats[best.label]),
+                                       best.population, best.label))
     return ApportionmentResult(method=method, house_size=house_size,
                                seats=seats, priority_trace=tuple(trace))
 
@@ -107,7 +139,7 @@ def jefferson(states: list[StateRecord], house_size: int) -> ApportionmentResult
     sum to the house size.
     """
     return _highest_averages("jefferson", states, house_size, seed=0,
-                             key=lambda pop, s: Fraction(pop, s + 1))
+                             priority=lambda pop, s: (pop, s + 1))
 
 
 def webster(states: list[StateRecord], house_size: int) -> ApportionmentResult:
@@ -117,18 +149,18 @@ def webster(states: list[StateRecord], house_size: int) -> ApportionmentResult:
     quotients sum to the house size.
     """
     return _highest_averages("webster", states, house_size, seed=0,
-                             key=lambda pop, s: Fraction(pop, 2 * s + 1))
+                             priority=lambda pop, s: (pop, 2 * s + 1))
 
 
 def huntington_hill(states: list[StateRecord], house_size: int) -> ApportionmentResult:
     """Equal-proportions apportionment: every state is seeded one seat, then
     priority population/sqrt(s*(s+1)) awards the rest.
 
-    Priorities are compared via their squares, population^2/(s*(s+1)), which
+    Priorities are ranked by their squares, population^2/(s*(s+1)), which
     keeps the ranking exact in integer arithmetic.
     """
     return _highest_averages("huntington-hill", states, house_size, seed=1,
-                             key=lambda pop, s: Fraction(pop * pop, s * (s + 1)))
+                             priority=lambda pop, s: (pop * pop, s * (s + 1)))
 
 
 METHODS: dict[str, Callable[[list[StateRecord], int], ApportionmentResult]] = {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,14 +146,12 @@ class Scenario:
 
     ``state_labels`` is an optional per-cell label grid of the same shape;
     every label's cells must form one orthogonally connected region.
-    ``target_seats`` is only consumed by the apportionment comparison.
     """
 
     grid: DotGrid
     people_per_dot: int
     threshold: int
     state_labels: tuple[tuple[str, ...], ...] | None = None
-    target_seats: int | None = None
 
     def __post_init__(self):
         if self.people_per_dot < 1:
@@ -178,10 +177,21 @@ class Scenario:
         return self.people_per_dot * self.grid.total_dots
 
     def state_population(self, label: str) -> int:
+        """People in state ``label``; 0 for a label the scenario lacks."""
         if self.state_labels is None:
             raise ValueError("scenario has no state labels")
-        dots = int(self.grid.counts[self.label_array() == label].sum())
-        return self.people_per_dot * dots
+        return self.people_per_dot * self._state_dots.get(label, 0)
+
+    @cached_property
+    def _state_dots(self) -> dict[str, int]:
+        """Dot total per state, summed in Python integers in one raster pass
+        on first use. States without dots have no entry."""
+        totals: dict[str, int] = {}
+        for labels, counts in zip(self.state_labels, self.grid.counts):
+            for label, count in zip(labels, counts.tolist()):
+                if count:
+                    totals[label] = totals.get(label, 0) + count
+        return totals
 
 
 def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]) -> None:

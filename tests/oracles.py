@@ -251,6 +251,26 @@ def huntington_hill_decimal_oracle(states, house):
     return seats
 
 
+def highest_averages_scan(method, states, house):
+    """Divisor methods awarded seat by seat, each seat by a full scan over
+    every state's Fraction priority: the O(house * n) reference the heap in
+    ``apportion`` must reproduce. Returns (seats, priority_trace)."""
+    seed, key = {
+        "jefferson": (0, lambda p, s: Fraction(p, s + 1)),
+        "webster": (0, lambda p, s: Fraction(p, 2 * s + 1)),
+        "huntington-hill": (1, lambda p, s: Fraction(p * p, s * (s + 1))),
+    }[method]
+    pops = dict(states)
+    seats = {lab: seed for lab in pops}
+    trace = []
+    for rnd in range(1, house - seed * len(pops) + 1):
+        best = min(pops, key=lambda lab: (-key(pops[lab], seats[lab]),
+                                          -pops[lab], lab))
+        seats[best] += 1
+        trace.append((rnd, best))
+    return seats, tuple(trace)
+
+
 def hamilton_rational_oracle(states, house):
     """Largest remainders recomputed from scratch with Fractions."""
     pops = dict(states)

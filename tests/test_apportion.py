@@ -1,7 +1,9 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlimit import ApportionmentError, StateRecord, compare_methods, \
@@ -9,8 +11,8 @@ from quadlimit import ApportionmentError, StateRecord, compare_methods, \
 from quadlimit.apportion import METHODS, parse_populations, parse_populations_file
 
 import helpers
-from oracles import hamilton_rational_oracle, huntington_hill_decimal_oracle, \
-    jefferson_divisor_oracle, webster_divisor_oracle
+from oracles import hamilton_rational_oracle, highest_averages_scan, \
+    huntington_hill_decimal_oracle, jefferson_divisor_oracle, webster_divisor_oracle
 
 SAMPLE = [StateRecord("A", 2560), StateRecord("B", 3315),
           StateRecord("C", 995), StateRecord("D", 5012)]
@@ -74,7 +76,6 @@ class TestJefferson:
         assert jefferson([StateRecord("A", 5)], 9).seats == {"A": 9}
 
     def test_matches_divisor_search(self):
-        import random
         rng = random.Random(2024)
         for _ in range(60):
             states, seats = helpers.random_apportionment_instance(rng, 5, 30)
@@ -101,7 +102,6 @@ class TestWebster:
         assert webster(states, 20).seats == {lab: 5 for lab in "ABCD"}
 
     def test_matches_divisor_search(self):
-        import random
         rng = random.Random(2025)
         for _ in range(60):
             states, seats = helpers.random_apportionment_instance(rng, 5, 30)
@@ -130,7 +130,6 @@ class TestHuntingtonHill:
         assert sum(result.seats.values()) == 50
 
     def test_matches_decimal_oracle(self):
-        import random
         rng = random.Random(2026)
         for _ in range(60):
             states, seats = helpers.random_apportionment_instance(rng, 6, 40)
@@ -186,6 +185,47 @@ class TestDivisorProperties:
         states, seats = instance
         for name, fn in METHODS.items():
             assert sum(fn(states, seats).seats.values()) == seats
+
+
+@st.composite
+def divisor_instances(draw):
+    """States and a house size, weighted towards tied priorities."""
+    pops = draw(st.one_of(
+        # Proportional populations collide across states at different seat
+        # counts: 6/1 = 12/2 = 24/4 = 36/6.
+        st.lists(st.sampled_from([6, 12, 24, 36]), min_size=1, max_size=8),
+        # Equal populations tie at every equal seat count.
+        st.tuples(st.integers(1, 10**6), st.integers(1, 8)).map(lambda t: [t[0]] * t[1]),
+        st.lists(st.integers(1, 10**12), min_size=1, max_size=8),
+    ))
+    labels = draw(st.lists(st.text("abcXYZ", min_size=1, max_size=3),
+                           min_size=len(pops), max_size=len(pops), unique=True))
+    house = draw(st.integers(len(pops), 4 * len(pops) + 20))
+    return [StateRecord(lab, p) for lab, p in zip(labels, pops)], house
+
+
+class TestHeapMatchesScan:
+    @given(divisor_instances())
+    @example(([StateRecord("d", 6), StateRecord("c", 12), StateRecord("b", 24),
+               StateRecord("a", 36)], 30))
+    @example(([StateRecord(lab, 500) for lab in "zyxw"], 17))
+    @settings(max_examples=200)
+    def test_seats_and_trace_match_full_scan(self, instance):
+        states, house = instance
+        pairs = [(s.label, s.population) for s in states]
+        for name in ("jefferson", "webster", "huntington-hill"):
+            result = METHODS[name](states, house)
+            assert (result.seats, result.priority_trace) \
+                == highest_averages_scan(name, pairs, house)
+
+    def test_huntington_hill_2000_states_20000_seats_under_2s(self):
+        rng = random.Random(2000)
+        states = [StateRecord(f"S{i:04d}", rng.randint(1, 10**7)) for i in range(2000)]
+        start = time.perf_counter()
+        result = huntington_hill(states, 20_000)
+        assert time.perf_counter() - start < 2.0
+        assert sum(result.seats.values()) == 20_000
+        assert min(result.seats.values()) >= 1
 
 
 class TestCompareMethods:

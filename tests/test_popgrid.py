@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quadlimit import DotGrid, Rect, Scenario, ScenarioError, build_sat, \
     count_dots, load_scenario
 
+import helpers
 from helpers import scenario_text
 from oracles import naive_rect_sum, naive_sat
 
@@ -215,6 +216,49 @@ class TestScenarioValidation:
     def test_total_population(self):
         s = Scenario(grid=DotGrid([[2, 3]]), people_per_dot=10, threshold=100)
         assert s.total_population() == 50
+
+
+class TestStatePopulation:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=40)
+    def test_matches_mask_sum(self, rng):
+        s = helpers.random_scenario(rng, max_dim=24, with_states=True)
+        labels = np.array(s.state_labels)
+        for lab in s.states:
+            dots = int(s.grid.counts[labels == lab].sum())
+            assert s.state_population(lab) == s.people_per_dot * dots
+
+    def test_label_array_built_at_most_once(self, monkeypatch):
+        s = helpers.random_scenario(random.Random(5), with_states=True)
+        calls = []
+        original = Scenario.label_array
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Scenario, "label_array", counting)
+        for lab in s.states:
+            s.state_population(lab)
+        assert len(calls) <= 1
+
+    def test_unknown_label_is_zero(self):
+        s = Scenario(grid=DotGrid([[1, 2]]), people_per_dot=7, threshold=1,
+                     state_labels=(("A", "B"),))
+        assert s.state_population("C") == 0
+        assert s.state_population("B") == 14
+
+    def test_unlabelled_scenario_rejected(self):
+        s = Scenario(grid=DotGrid([[1, 2]]), people_per_dot=7, threshold=1)
+        with pytest.raises(ValueError, match="no state labels"):
+            s.state_population("A")
+
+    def test_total_above_2_53_is_exact(self):
+        # In float64, 2**53 + 1 + 1 rounds back to 2**53.
+        s = Scenario(grid=DotGrid([[2**53, 1], [1, 5]]), people_per_dot=3,
+                     threshold=1, state_labels=(("A", "A"), ("A", "B")))
+        assert s.state_population("A") == 3 * (2**53 + 2)
+        assert s.state_population("B") == 15
 
 
 def test_masked_grid_keeps_only_selected_cells():
