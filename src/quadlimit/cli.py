@@ -94,8 +94,8 @@ def cmd_locate(args) -> int:
 
 def cmd_render(args) -> int:
     scenario = _load_scenario(args)
-    result = result_from_json(_read(args.result))
-    result.state_labels = scenario.state_labels
+    result = dataclasses.replace(result_from_json(_read(args.result)),
+                                 state_labels=scenario.state_labels)
     _write(args.out, render_svg(result, scenario.grid, RenderStyle()))
     return 0
 

@@ -135,11 +135,6 @@ class DotGrid:
         return DotGrid(np.where(keep, self.counts, 0))
 
 
-def count_dots(grid: DotGrid, r: Rect) -> int:
-    """Module-level alias for :meth:`DotGrid.count_dots`."""
-    return grid.count_dots(r)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Validated delimitation input: grid, dot value, population threshold.

@@ -7,15 +7,17 @@ population still fits under the threshold, provided their union stays
 orthogonally connected. Leaves of the final tree, after merging, are the
 constituencies.
 
-The tree doubles as a point-location index: finding the constituency that
-contains a cell walks one root-to-leaf path instead of scanning every
-constituency.
+The tree is held once, as ``QuadNode`` objects with ids in depth-first,
+NW-first preorder; its node, leaf and depth counts are recorded while it
+grows. It doubles as a point-location index: ``delimit`` writes each leaf's
+constituency id into the leaf, so finding the constituency that contains a
+cell walks one root-to-leaf path instead of scanning every constituency.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +30,19 @@ class ResultFormatError(ValueError):
 
 @dataclass
 class QuadNode:
-    """One region of the partition; internal nodes carry 4 (or 2) children."""
+    """One region of the partition; internal nodes carry 4 (or 2) children.
+    ``delimit`` sets a leaf's ``constituency`` to the id it ends up in."""
 
     id: int
     rect: Rect
     population: int
     depth: int
     children: list["QuadNode"] | None = None
+    constituency: int | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-
-@dataclass
-class QuadTree:
-    root: QuadNode
-    node_count: int
-    max_depth: int
-    # parent node id (None for a root leaf) -> leaf child ids, registration order
-    leaf_parents: dict[int | None, list[int]]
-    leaf_order: list[int]  # depth-first, NW-first
-    nodes: dict[int, QuadNode]
 
 
 @dataclass(frozen=True)
@@ -57,6 +50,12 @@ class TreeStats:
     nodes: int
     leaves: int
     max_depth: int
+
+
+@dataclass
+class QuadTree:
+    root: QuadNode
+    stats: TreeStats  # counted while the tree grows
 
 
 @dataclass(frozen=True)
@@ -67,17 +66,15 @@ class Constituency:
     shape: tuple[Rect, ...]
     population: int
     flags: frozenset[str]
-    source_node_ids: tuple[int, ...]
     state: str | None = None
 
     def contains(self, cx: int, cy: int) -> bool:
         return any(r.contains(cx, cy) for r in self.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelimitationResult:
     constituencies: list[Constituency]
-    count: int
     threshold: int
     people_per_dot: int
     width: int
@@ -87,14 +84,10 @@ class DelimitationResult:
     # In-memory only; absent after deserialization.
     trees: dict[str | None, QuadTree] | None = None
     state_labels: tuple[tuple[str, ...], ...] | None = None
-    leaf_lookup: dict[tuple[str | None, int], int] = field(default_factory=dict)
 
     @property
-    def tree(self) -> QuadTree | None:
-        """The single tree of an unlabelled run, if available."""
-        if self.trees is not None and len(self.trees) == 1:
-            return next(iter(self.trees.values()))
-        return None
+    def count(self) -> int:
+        return len(self.constituencies)
 
     def by_id(self, cid: int) -> Constituency:
         return self.constituencies[cid - 1]
@@ -129,59 +122,63 @@ def build_tree(grid: DotGrid, people_per_dot: int, threshold: int,
                root_rect: Rect | None = None) -> QuadTree:
     """Grow the subdivision tree over ``root_rect`` (default: the whole grid).
 
-    A node whose population fits the threshold becomes a leaf and is recorded
-    under its parent; anything larger is subdivided and recursed into,
-    children in NW, NE, SW, SE order. A 1x1 cell over the threshold cannot
-    split and stays as an over-capacity leaf.
+    A node whose population fits the threshold becomes a leaf; anything
+    larger is subdivided and its children grown in NW, NE, SW, SE order,
+    each child's subtree before the next child, so node ids run in
+    depth-first preorder. A 1x1 cell over the threshold cannot split and
+    stays as an over-capacity leaf.
     """
-    rect = root_rect if root_rect is not None else grid.bounds()
-    leaf_parents: dict[int | None, list[int]] = {}
-    leaf_order: list[int] = []
-    nodes: dict[int, QuadNode] = {}
-    next_id = 0
+    next_id = leaves = max_depth = 0
 
-    def new_node(r: Rect, depth: int) -> QuadNode:
-        nonlocal next_id
+    def grow(r: Rect, depth: int) -> QuadNode:
+        nonlocal next_id, leaves, max_depth
         node = QuadNode(id=next_id, rect=r,
                         population=people_per_dot * grid.count_dots(r), depth=depth)
-        nodes[node.id] = node
         next_id += 1
+        max_depth = max(max_depth, depth)
+        if node.population <= threshold or r.area == 1:
+            leaves += 1
+        else:
+            node.children = [grow(q, depth + 1) for q in subdivide(r)]
         return node
 
-    root = new_node(rect, 0)
-    max_depth = 0
+    root = grow(root_rect if root_rect is not None else grid.bounds(), 0)
+    return QuadTree(root=root, stats=TreeStats(nodes=next_id, leaves=leaves,
+                                               max_depth=max_depth))
 
-    def process(prev: QuadNode | None, node: QuadNode) -> None:
-        nonlocal max_depth
-        max_depth = max(max_depth, node.depth)
-        if node.population <= threshold or node.rect.area == 1:
-            key = prev.id if prev is not None else None
-            leaf_parents.setdefault(key, []).append(node.id)
-            leaf_order.append(node.id)
-            return
-        node.children = [new_node(q, node.depth + 1) for q in subdivide(node.rect)]
-        for child in node.children:
-            process(node, child)
 
-    process(None, root)
-    return QuadTree(root=root, node_count=next_id, max_depth=max_depth,
-                    leaf_parents=leaf_parents, leaf_order=leaf_order, nodes=nodes)
+def tree_stats(tree: QuadTree) -> TreeStats:
+    """Node/leaf/depth counts, as recorded by ``build_tree``."""
+    return tree.stats
 
 
 @dataclass
 class MergeUnit:
-    """A leaf or an agglomeration of merged sibling leaves under one parent."""
+    """A leaf or an agglomeration of merged sibling leaves under one parent,
+    its leaves in quadrant order."""
 
-    quadrant: int  # smallest contained child index; ordering key for the scan
-    leaf_ids: list[int]
-    rects: list[Rect]
+    leaves: list[QuadNode]
     population: int
-    first_seq: int  # earliest depth-first leaf sequence number contained
 
 
 def _units_connected(a: MergeUnit, b: MergeUnit) -> bool:
     # Each unit is connected on its own, so edge contact anywhere joins them.
-    return any(ra.touches(rb) for ra in a.rects for rb in b.rects)
+    return any(la.rect.touches(lb.rect) for la in a.leaves for lb in b.leaves)
+
+
+def _merge_leaves(leaves: list[QuadNode], threshold: int) -> list[MergeUnit]:
+    units = [MergeUnit([leaf], leaf.population) for leaf in leaves]
+    while True:
+        pair = next(((i, j) for i in range(len(units)) for j in range(i + 1, len(units))
+                     if units[i].population + units[j].population <= threshold
+                     and _units_connected(units[i], units[j])), None)
+        if pair is None:
+            return units
+        i, j = pair
+        # Folding j into the earlier i keeps the list in quadrant order.
+        b = units.pop(j)
+        units[i].leaves.extend(b.leaves)
+        units[i].population += b.population
 
 
 def merge_siblings(tree: QuadTree, threshold: int) -> dict[int | None, list[MergeUnit]]:
@@ -191,44 +188,18 @@ def merge_siblings(tree: QuadTree, threshold: int) -> dict[int | None, list[Merg
     (merged units rank by their smallest contained quadrant); the first pair
     whose combined population fits the threshold and whose union is
     edge-connected is merged, and the scan restarts. Merging never crosses
-    parents.
+    parents. Keys are parent ids in preorder, ``None`` for a root leaf.
     """
-    seq = {leaf_id: i for i, leaf_id in enumerate(tree.leaf_order)}
+    if tree.root.is_leaf:
+        return {None: _merge_leaves([tree.root], threshold)}
     out: dict[int | None, list[MergeUnit]] = {}
-    for parent_key, child_ids in tree.leaf_parents.items():
-        if parent_key is None:
-            child_index = {child_ids[0]: 0}
-        else:
-            parent = tree.nodes[parent_key]
-            child_index = {c.id: i for i, c in enumerate(parent.children)}
-        units = [
-            MergeUnit(quadrant=child_index[cid], leaf_ids=[cid],
-                      rects=[tree.nodes[cid].rect],
-                      population=tree.nodes[cid].population,
-                      first_seq=seq[cid])
-            for cid in child_ids
-        ]
-        while True:
-            units.sort(key=lambda u: u.quadrant)
-            pair = None
-            for i in range(len(units)):
-                for j in range(i + 1, len(units)):
-                    a, b = units[i], units[j]
-                    if a.population + b.population <= threshold and _units_connected(a, b):
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break
-            i, j = pair
-            a, b = units[i], units[j]
-            a.leaf_ids.extend(b.leaf_ids)
-            a.rects.extend(b.rects)
-            a.population += b.population
-            a.first_seq = min(a.first_seq, b.first_seq)
-            del units[j]
-        out[parent_key] = units
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        leaves = [c for c in node.children if c.is_leaf]
+        if leaves:
+            out[node.id] = _merge_leaves(leaves, threshold)
+        stack.extend(reversed([c for c in node.children if not c.is_leaf]))
     return out
 
 
@@ -241,10 +212,10 @@ def _constituency_from_unit(cid: int, unit: MergeUnit, threshold: int,
         flags.add(ZERO_POPULATION)
     return Constituency(
         id=cid,
-        shape=tuple(sorted(unit.rects, key=lambda r: (r.y0, r.x0))),
+        shape=tuple(sorted((leaf.rect for leaf in unit.leaves),
+                           key=lambda r: (r.y0, r.x0))),
         population=unit.population,
         flags=frozenset(flags),
-        source_node_ids=tuple(sorted(unit.leaf_ids)),
         state=state,
     )
 
@@ -260,41 +231,36 @@ def delimit(scenario: Scenario) -> DelimitationResult:
 
     With state labels present, each state is delimited independently over its
     bounding region with all other states' dots masked out; constituency ids
-    run sequentially across states in sorted label order.
+    run sequentially across states in sorted label order, and within a state
+    in depth-first order of each constituency's first leaf.
     """
     grid = scenario.grid
     x, th = scenario.people_per_dot, scenario.threshold
-
-    runs: list[tuple[str | None, DotGrid, Rect | None]] = []
-    if scenario.state_labels is None:
-        runs.append((None, grid, None))
-    else:
-        labels = scenario.label_array()
-        for state in scenario.states:
-            mask = labels == state
-            runs.append((state, grid.masked(mask), _state_bbox(mask)))
+    labels = scenario.label_array()
 
     constituencies: list[Constituency] = []
     trees: dict[str | None, QuadTree] = {}
-    leaf_lookup: dict[tuple[str | None, int], int] = {}
-    per_state: dict[str, list[int]] | None = None if scenario.state_labels is None else {}
+    per_state: dict[str, list[int]] | None = None if labels is None else {}
 
-    for state, run_grid, root_rect in runs:
-        tree = build_tree(run_grid, x, th, root_rect=root_rect)
+    for state in scenario.states or [None]:
+        if state is None:
+            tree = build_tree(grid, x, th)
+        else:
+            # The masked grid is dropped once its tree is built.
+            mask = labels == state
+            tree = build_tree(grid.masked(mask), x, th, root_rect=_state_bbox(mask))
         trees[state] = tree
         units = [u for ulist in merge_siblings(tree, th).values() for u in ulist]
-        units.sort(key=lambda u: u.first_seq)
-        ids_here: list[int] = []
-        for unit in units:
-            cid = len(constituencies) + 1
+        units.sort(key=lambda u: u.leaves[0].id)
+        first = len(constituencies) + 1
+        for cid, unit in enumerate(units, start=first):
             constituencies.append(_constituency_from_unit(cid, unit, th, state))
-            ids_here.append(cid)
-            for leaf_id in unit.leaf_ids:
-                leaf_lookup[(state, leaf_id)] = cid
+            for leaf in unit.leaves:
+                leaf.constituency = cid
         if per_state is not None:
-            per_state[state] = ids_here
+            per_state[state] = list(range(first, len(constituencies) + 1))
 
-    all_stats = [tree_stats(t) for t in trees.values()]
+    all_stats = [t.stats for t in trees.values()]
     stats = TreeStats(
         nodes=sum(s.nodes for s in all_stats),
         leaves=sum(s.leaves for s in all_stats),
@@ -302,7 +268,6 @@ def delimit(scenario: Scenario) -> DelimitationResult:
     )
     return DelimitationResult(
         constituencies=constituencies,
-        count=len(constituencies),
         threshold=th,
         people_per_dot=x,
         width=grid.width,
@@ -311,24 +276,7 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         per_state=per_state,
         trees=trees,
         state_labels=scenario.state_labels,
-        leaf_lookup=leaf_lookup,
     )
-
-
-def tree_stats(tree: QuadTree) -> TreeStats:
-    """Exact node/leaf/depth counts by traversal."""
-    nodes = leaves = 0
-    max_depth = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        max_depth = max(max_depth, node.depth)
-        if node.is_leaf:
-            leaves += 1
-        else:
-            stack.extend(node.children)
-    return TreeStats(nodes=nodes, leaves=leaves, max_depth=max_depth)
 
 
 def _check_bounds(result: DelimitationResult, cx: int, cy: int) -> None:
@@ -354,7 +302,7 @@ def locate_with_visits(result: DelimitationResult, cx: int, cy: int) -> tuple[Co
     while not node.is_leaf:
         node = next(c for c in node.children if c.rect.contains(cx, cy))
         visits += 1
-    return result.by_id(result.leaf_lookup[(state, node.id)]), visits
+    return result.by_id(node.constituency), visits
 
 
 def locate(result: DelimitationResult, cx: int, cy: int) -> Constituency:
@@ -410,9 +358,11 @@ def result_to_json(result: DelimitationResult) -> str:
     return json.dumps(result_to_dict(result), indent=2) + "\n"
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    # The message is formatted only on failure: loading runs these checks
+    # for every constituency and rect.
     if not cond:
-        raise ResultFormatError(message)
+        raise ResultFormatError(message % args)
 
 
 def result_from_json(text: str) -> DelimitationResult:
@@ -424,37 +374,46 @@ def result_from_json(text: str) -> DelimitationResult:
         raise ResultFormatError(f"invalid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level must be an object")
     for key in ("count", "threshold", "peoplePerDot", "constituencies", "stats"):
-        _require(key in doc, f"missing key '{key}'")
+        _require(key in doc, "missing key '%s'", key)
     _require(isinstance(doc["constituencies"], list), "'constituencies' must be a list")
+    _require(len(doc["constituencies"]) >= 1, "'constituencies' must not be empty")
 
     constituencies: list[Constituency] = []
     for i, entry in enumerate(doc["constituencies"], start=1):
-        _require(isinstance(entry, dict), f"constituency #{i} must be an object")
+        _require(isinstance(entry, dict), "constituency #%d must be an object", i)
         for key in ("id", "population", "flags", "rects"):
-            _require(key in entry, f"constituency #{i} missing key '{key}'")
-        _require(entry["id"] == i, f"constituency ids must be sequential, got {entry['id']}")
+            _require(key in entry, "constituency #%d missing key '%s'", i, key)
+        _require(entry["id"] == i, "constituency ids must be sequential, got %s", entry["id"])
+        _require(isinstance(entry["rects"], list), "constituency #%d: 'rects' must be a list", i)
         rects = []
         for quad in entry["rects"]:
+            # type() rather than isinstance(): JSON true/false load as bools.
             _require(isinstance(quad, list) and len(quad) == 4
-                     and all(isinstance(v, int) for v in quad),
-                     f"constituency #{i}: rects must be [x0, y0, w, h] integers")
+                     and all(type(v) is int for v in quad),
+                     "constituency #%d: rects must be [x0, y0, w, h] integers", i)
             try:
                 rects.append(Rect(*quad))
             except ValueError as exc:
                 raise ResultFormatError(f"constituency #{i}: {exc}") from None
-        _require(len(rects) >= 1, f"constituency #{i} has no rects")
-        _require(isinstance(entry["population"], int) and entry["population"] >= 0,
-                 f"constituency #{i}: population must be a non-negative integer")
+        _require(len(rects) >= 1, "constituency #%d has no rects", i)
+        population, flags = entry["population"], entry["flags"]
+        _require(type(population) is int and population >= 0,
+                 "constituency #%d: population must be a non-negative integer", i)
+        _require(isinstance(flags, list)
+                 and all(f in (OVER_CAPACITY, ZERO_POPULATION) for f in flags),
+                 "constituency #%d: flags must be a list of '%s' and '%s'",
+                 i, OVER_CAPACITY, ZERO_POPULATION)
+        _require(isinstance(entry.get("state", ""), str),
+                 "constituency #%d: state must be a string", i)
         constituencies.append(Constituency(
             id=i,
             shape=tuple(rects),
-            population=entry["population"],
-            flags=frozenset(entry["flags"]),
-            source_node_ids=(),
+            population=population,
+            flags=frozenset(flags),
             state=entry.get("state"),
         ))
     _require(doc["count"] == len(constituencies),
-             f"count {doc['count']} does not match {len(constituencies)} constituencies")
+             "count %s does not match %d constituencies", doc["count"], len(constituencies))
 
     stats = doc["stats"]
     _require(isinstance(stats, dict) and all(k in stats for k in ("nodes", "leaves", "maxDepth")),
@@ -469,7 +428,6 @@ def result_from_json(text: str) -> DelimitationResult:
             per_state.setdefault(c.state, []).append(c.id)
     return DelimitationResult(
         constituencies=constituencies,
-        count=len(constituencies),
         threshold=doc["threshold"],
         people_per_dot=doc["peoplePerDot"],
         width=width,

@@ -162,6 +162,25 @@ def enumerate_merge_outcomes(leaf_children, threshold):
     return outcomes
 
 
+def preorder_nodes(tree):
+    """Every node of a quadtree, depth-first with children in NW, NE, SW,
+    SE order, by walking ``children`` links."""
+    order, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node.children is not None:
+            stack.extend(reversed(node.children))
+    return order
+
+
+def tree_stats_by_traversal(tree):
+    """(nodes, leaves, max depth) counted by a full walk of the tree."""
+    nodes = preorder_nodes(tree)
+    return (len(nodes), sum(n.children is None for n in nodes),
+            max(n.depth for n in nodes))
+
+
 def containment_scan(result, cx, cy):
     """Lowest-id constituency owning the cell, honouring state masks."""
     labels = result.state_labels

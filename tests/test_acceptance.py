@@ -80,15 +80,19 @@ def test_criterion_05_deterministic_16x16_scenario():
 
 
 def _constituencies_by_parent(result):
+    # (state, parent node id or None for a root leaf) -> {id: constituency},
+    # read off each tree's leaves.
     groups = {}
-    for c in result.constituencies:
-        tree = result.trees[c.state]
-        leaf_parent = {leaf: parent
-                       for parent, leaves in tree.leaf_parents.items()
-                       for leaf in leaves}
-        parent = leaf_parent[c.source_node_ids[0]]
-        groups.setdefault((c.state, parent), []).append(c)
-    return groups
+    for state, tree in result.trees.items():
+        stack = [(None, tree.root)]
+        while stack:
+            parent, node = stack.pop()
+            if node.is_leaf:
+                groups.setdefault((state, parent), {})[node.constituency] = \
+                    result.by_id(node.constituency)
+            else:
+                stack.extend((node.id, child) for child in node.children)
+    return {key: list(group.values()) for key, group in groups.items()}
 
 
 def test_criterion_06_property_suite_1000_scenarios():

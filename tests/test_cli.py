@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -140,6 +141,21 @@ class TestLocateCommand:
         bad.write_text("{broken")
         assert run(["locate", "--result", str(bad), "--point", "0,0"]) == 3
 
+    def test_ill_typed_result_is_exit_3(self, grid16, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        run(["delimit", grid16, "--out", str(out)])
+        good = json.loads(out.read_text())
+        bad_docs = [dict(good, count=0, constituencies=[])]
+        for edit in ({"rects": 5}, {"flags": 5}, {"flags": "abc"}, {"state": ["A"]}):
+            doc = json.loads(json.dumps(good))
+            doc["constituencies"][0].update(edit)
+            bad_docs.append(doc)
+        for doc in bad_docs:
+            out.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run(["locate", "--result", str(out), "--point", "0,0"]) == 3
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_point_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["locate", "--result", str(tmp_path / "r.json"), "--point", "zero"])
@@ -176,6 +192,23 @@ class TestRenderCommand:
         svg_cli = tmp_path / "map.svg"
         run(["render", grid16, "--result", str(out), "--out", str(svg_cli)])
         assert svg_cli.read_text() == render_svg(result, scenario.grid, RenderStyle())
+
+    def test_labelled_render_unchanged(self, tmp_path):
+        # Non-rectangular state A wraps state B; render must reapply the
+        # scenario's labels to the loaded result to draw the state outlines.
+        text = scenario_text([[1, 1, 4], [1, 1, 4], [1, 1, 1]], 1, 4,
+                             labels=[["A", "A", "B"], ["A", "A", "B"], ["A", "A", "A"]])
+        scen = tmp_path / "states.txt"
+        scen.write_text(text)
+        out, svg = tmp_path / "r.json", tmp_path / "map.svg"
+        run(["delimit", str(scen), "--out", str(out)])
+        assert run(["render", str(scen), "--result", str(out), "--out", str(svg)]) == 0
+        scenario = load_scenario(text)
+        assert svg.read_text() == render_svg(delimit(scenario), scenario.grid)
+        assert '<path id="state-B"' in svg.read_text()
+        # Pinned so that how render attaches the labels cannot change the bytes.
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() \
+            == "ed44f09eb9620ffccee6959847221134c182d9d7cefd8ac473144b5e9086c6c2"
 
     def test_dimension_mismatch_is_exit_3(self, grid16, tmp_path, capsys):
         small = tmp_path / "small.txt"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlimit import DotGrid, Rect, Scenario, ScenarioError, build_sat, \
-    count_dots, load_scenario
+    load_scenario
 
 import helpers
 from helpers import scenario_text
@@ -84,10 +84,6 @@ class TestCountDots:
         grid = DotGrid([[1] * 4 for _ in range(4)])
         with pytest.raises(ValueError, match="exceeds grid bounds"):
             grid.count_dots(Rect(2, 2, 3, 1))
-
-    def test_module_level_alias(self):
-        grid = DotGrid([[2, 3], [4, 5]])
-        assert count_dots(grid, Rect(0, 0, 2, 2)) == 14
 
     @given(rasters, st.randoms(use_true_random=False))
     @settings(max_examples=80)

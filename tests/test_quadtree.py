@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -13,7 +14,7 @@ from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, result_to_dict
 
 from helpers import random_scenario, scenario_text
 from oracles import containment_scan, enumerate_merge_outcomes, flood_connected, \
-    oracle_delimit, rect_cells
+    oracle_delimit, preorder_nodes, rect_cells, tree_stats_by_traversal
 
 
 def uniform_scenario(n=16, x=100, th=1600):
@@ -67,7 +68,8 @@ class TestBuildTree:
         tree = build_tree(grid, 500, 1000)
         assert tree.root.is_leaf
         assert tree.root.population == 500
-        assert tree.leaf_parents == {None: [0]}
+        assert tree.root.id == 0 and tree.stats == TreeStats(1, 1, 0)
+        assert [u.leaves for u in merge_siblings(tree, 1000)[None]] == [[tree.root]]
 
     def test_all_zero_grid_single_leaf(self):
         tree = build_tree(DotGrid([[0] * 4 for _ in range(4)]), 500, 1)
@@ -82,8 +84,8 @@ class TestBuildTree:
             assert [g.population for g in child.children] == [1600] * 4
             for g in child.children:
                 assert g.is_leaf
-        assert tree.node_count == 21
-        assert tree.max_depth == 2
+        assert tree.stats.nodes == 21
+        assert tree.stats.max_depth == 2
 
     def test_children_populations_sum_to_parent(self):
         rng = random.Random(5)
@@ -98,26 +100,41 @@ class TestBuildTree:
                     stack.extend(node.children)
 
     def test_leaf_parents_registers_each_leaf_once(self):
+        # Merge units, keyed by parent id, hold every leaf once, under its parent.
         rng = random.Random(6)
         s = random_scenario(rng, max_dim=32, with_states=False)
         tree = build_tree(s.grid, s.people_per_dot, s.threshold)
-        registered = [leaf for leaves in tree.leaf_parents.values() for leaf in leaves]
-        assert sorted(registered) == sorted(tree.leaf_order)
+        nodes = {n.id: n for n in preorder_nodes(tree)}
+        merged = merge_siblings(tree, s.threshold)
+        registered = [leaf.id for units in merged.values()
+                      for u in units for leaf in u.leaves]
+        assert sorted(registered) == sorted(i for i, n in nodes.items() if n.is_leaf)
         assert len(set(registered)) == len(registered)
-        for parent_id, leaves in tree.leaf_parents.items():
+        for parent_id, units in merged.items():
+            leaves = [leaf for u in units for leaf in u.leaves]
             if parent_id is None:
-                assert leaves == [tree.root.id]
+                assert leaves == [tree.root]
                 continue
-            child_ids = {c.id for c in tree.nodes[parent_id].children}
+            children = nodes[parent_id].children
             for leaf in leaves:
-                assert leaf in child_ids
-                assert tree.nodes[leaf].is_leaf
+                assert any(leaf is c for c in children)
+                assert leaf.is_leaf
+
+    def test_node_ids_are_depth_first_preorder(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            s = random_scenario(rng, max_dim=32, with_states=False)
+            tree = build_tree(s.grid, s.people_per_dot, s.threshold)
+            order = preorder_nodes(tree)
+            assert [n.id for n in order] == list(range(len(order)))
+            leaf_ids = [n.id for n in order if n.is_leaf]
+            assert leaf_ids == sorted(leaf_ids)
 
     def test_over_capacity_cell_becomes_leaf(self):
         tree = build_tree(DotGrid([[3, 3], [3, 3]]), 500, 1000)
         stats = tree_stats(tree)
         assert stats.nodes == 5 and stats.leaves == 4
-        assert all(tree.nodes[i].population == 1500 for i in tree.leaf_order)
+        assert all(n.population == 1500 for n in preorder_nodes(tree) if n.is_leaf)
 
     def test_sub_rect_root(self):
         grid = DotGrid([[1] * 4 for _ in range(4)])
@@ -129,20 +146,20 @@ class TestBuildTree:
 def make_parent_with_leaves(pops, rect=Rect(0, 0, 2, 2)):
     root = QuadNode(id=0, rect=rect, population=sum(pops), depth=0)
     quads = subdivide(rect)
-    children = [QuadNode(id=i + 1, rect=q, population=p, depth=1)
-                for i, (q, p) in enumerate(zip(quads, pops))]
-    root.children = children
-    nodes = {n.id: n for n in [root] + children}
-    return QuadTree(root=root, node_count=len(nodes), max_depth=1,
-                    leaf_parents={0: [c.id for c in children]},
-                    leaf_order=[c.id for c in children], nodes=nodes)
+    root.children = [QuadNode(id=i + 1, rect=q, population=p, depth=1)
+                     for i, (q, p) in enumerate(zip(quads, pops))]
+    return QuadTree(root=root, stats=TreeStats(1 + len(pops), len(pops), 1))
+
+
+def leaf_ids(unit):
+    return [leaf.id for leaf in unit.leaves]
 
 
 class TestMergeSiblings:
     def test_first_fit_merges_nw_ne_only(self):
         # Expected outcome established by enumerating every merge order.
         tree = make_parent_with_leaves([300, 300, 900, 900])
-        leaf_children = [(i, rect_cells(*tree.nodes[i + 1].rect.as_tuple()), p)
+        leaf_children = [(i, rect_cells(*tree.root.children[i].rect.as_tuple()), p)
                          for i, p in enumerate([300, 300, 900, 900])]
         outcomes = enumerate_merge_outcomes(leaf_children, 1000)
         expected = frozenset({(frozenset({0, 1}), 600),
@@ -150,7 +167,7 @@ class TestMergeSiblings:
         assert expected in outcomes
 
         units = merge_siblings(tree, 1000)[0]
-        got = frozenset((frozenset(u.leaf_ids), u.population) for u in units)
+        got = frozenset((frozenset(leaf_ids(u)), u.population) for u in units)
         assert got == frozenset({(frozenset({1, 2}), 600),
                                  (frozenset({3}), 900), (frozenset({4}), 900)})
 
@@ -158,19 +175,20 @@ class TestMergeSiblings:
         tree = make_parent_with_leaves([0, 0, 0, 0])
         units = merge_siblings(tree, 1)[0]
         assert len(units) == 1
-        assert {c for r in units[0].rects for c in r.cells()} == rect_cells(0, 0, 2, 2)
+        assert {c for leaf in units[0].leaves for c in leaf.rect.cells()} \
+            == rect_cells(0, 0, 2, 2)
         assert units[0].population == 0
 
     def test_no_eligible_pair_is_noop(self):
         tree = make_parent_with_leaves([600, 600, 600, 600])
         units = merge_siblings(tree, 1000)[0]
         assert len(units) == 4
-        assert all(len(u.leaf_ids) == 1 for u in units)
+        assert all(len(u.leaves) == 1 for u in units)
 
     def test_merged_unit_keeps_merging(self):
         tree = make_parent_with_leaves([100, 100, 100, 900])
         units = merge_siblings(tree, 350)[0]
-        got = sorted((sorted(u.leaf_ids), u.population) for u in units)
+        got = sorted((sorted(leaf_ids(u)), u.population) for u in units)
         assert got == [([1, 2, 3], 300), ([4], 900)]
 
     def test_diagonal_pair_never_merges(self):
@@ -181,8 +199,7 @@ class TestMergeSiblings:
 
     def test_root_leaf_has_no_partner(self):
         root = QuadNode(id=0, rect=Rect(0, 0, 3, 3), population=5, depth=0)
-        tree = QuadTree(root=root, node_count=1, max_depth=0,
-                        leaf_parents={None: [0]}, leaf_order=[0], nodes={0: root})
+        tree = QuadTree(root=root, stats=TreeStats(1, 1, 0))
         units = merge_siblings(tree, 100)[None]
         assert len(units) == 1 and units[0].population == 5
 
@@ -366,15 +383,33 @@ class TestTreeStats:
         tree = build_tree(DotGrid([[1] * 16 for _ in range(16)]), 100, 1600)
         stats = tree_stats(tree)
         assert (stats.nodes, stats.leaves, stats.max_depth) == (21, 16, 2)
-        assert stats.nodes == tree.node_count
-        assert stats.max_depth == tree.max_depth
+        assert (stats.nodes, stats.leaves, stats.max_depth) \
+            == tree_stats_by_traversal(tree)
 
     def test_leaf_count_equals_pre_merge_pieces(self):
         rng = random.Random(17)
         for _ in range(15):
             s = random_scenario(rng, max_dim=24, with_states=False)
             tree = build_tree(s.grid, s.people_per_dot, s.threshold)
-            assert tree_stats(tree).leaves == len(tree.leaf_order)
+            assert tree_stats(tree).leaves \
+                == sum(n.is_leaf for n in preorder_nodes(tree))
+
+    def test_recorded_stats_match_traversal(self):
+        rng = random.Random(19)
+        labelled = 0
+        for _ in range(40):
+            s = random_scenario(rng, max_dim=32)
+            result = delimit(s)
+            labelled += s.state_labels is not None
+            per_tree = [t.stats for t in result.trees.values()]
+            for tree in result.trees.values():
+                assert (tree.stats.nodes, tree.stats.leaves, tree.stats.max_depth) \
+                    == tree_stats_by_traversal(tree)
+            assert result.stats == TreeStats(
+                nodes=sum(st.nodes for st in per_tree),
+                leaves=sum(st.leaves for st in per_tree),
+                max_depth=max(st.max_depth for st in per_tree))
+        assert labelled > 0
 
 
 class TestSerialization:
@@ -441,6 +476,35 @@ class TestSerialization:
         bad["constituencies"][0]["rects"] = [[0, 0, 0, 1]]
         with pytest.raises(ResultFormatError, match="empty rectangle"):
             result_from_json(json.dumps(bad))
+        for field, value, message in [
+            ("rects", 5, "'rects' must be a list"),
+            ("rects", [[0, 0, True, 1]], "integers"),
+            ("rects", [[0.0, 0, 1, 1]], "integers"),
+            ("population", True, "population"),
+            ("flags", 5, "flags"),
+            ("flags", "abc", "flags"),
+            ("flags", ["a"], "flags"),
+            ("flags", [["overCapacity"]], "flags"),
+            ("state", 7, "state must be a string"),
+            ("state", None, "state must be a string"),
+        ]:
+            bad = json.loads(json.dumps(good))
+            bad["constituencies"][0][field] = value
+            with pytest.raises(ResultFormatError, match=message):
+                result_from_json(json.dumps(bad))
+        with pytest.raises(ResultFormatError, match="must not be empty"):
+            result_from_json(json.dumps(dict(good, count=0, constituencies=[])))
+
+    def test_result_is_frozen(self):
+        result = delimit(TestDelimitStates().quadrant_scenario())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.state_labels = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.constituencies = []
+        loaded = result_from_json(result_to_json(result))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.state_labels = result.state_labels
+        assert loaded.count == result.count == len(result.constituencies)
 
 
 class TestPartitionInvariants:
