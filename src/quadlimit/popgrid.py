@@ -4,20 +4,32 @@ A map is modelled as a grid of cells, each holding a non-negative number of
 population dots (one dot stands for ``people_per_dot`` people). A summed-area
 table built once at load time makes the dot count of any axis-aligned cell
 rectangle an O(1) four-corner lookup, which the delimitation engine leans on
-heavily.
+heavily. The table is int64, so a grid whose dot total exceeds 2**63-1 is
+rejected rather than left to wrap.
 
 Coordinates follow the image convention: origin at the top-left corner,
 x grows rightward (columns), y grows downward (rows). All quantities are
 integers; population arithmetic never touches floating point.
+
+Scenario text is read in numpy. A count block made only of ASCII digits,
+spaces and tabs goes through ``np.loadtxt``; any other block, and any block
+``np.loadtxt`` rejects or reads to the wrong shape, is read token by token
+with Python's ``int``, which gives the same values and names the line and
+column of the first bad cell. State labels become an int32 code raster whose
+connectivity is checked by union-find over row runs.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
+
+INT64_MAX = 2**63 - 1
+# Everything but these bytes sends a count block to the token-by-token reader.
+_PLAIN_COUNT_BYTES = b"0123456789 \t\n"
 
 
 class ScenarioError(ValueError):
@@ -91,6 +103,22 @@ def build_sat(counts) -> np.ndarray:
     return sat
 
 
+def _check_total(arr: np.ndarray) -> None:
+    """Raise ScenarioError if the non-negative raster's total exceeds 2**63-1.
+
+    Every SAT entry is the total of a sub-rectangle, so a total within int64
+    keeps the cumulative sums from wrapping. Unless the largest cell times
+    the cell count already fits, the total is summed exactly from the high
+    and low 32-bit halves of the cells (neither half-sum can wrap below 2**31
+    cells).
+    """
+    if int(arr.max()) * arr.size <= INT64_MAX:
+        return
+    total = (int((arr >> 32).sum()) << 32) + int((arr & 0xFFFFFFFF).sum())
+    if total > INT64_MAX:
+        raise ScenarioError(f"total dot count {total} exceeds 2**63-1")
+
+
 class DotGrid:
     """Immutable raster of per-cell dot counts plus its summed-area table."""
 
@@ -100,6 +128,7 @@ class DotGrid:
             raise ValueError("counts must be a non-empty 2-D raster")
         if (arr < 0).any():
             raise ValueError("dot counts must be non-negative")
+        _check_total(arr)
         self.height, self.width = arr.shape
         arr.setflags(write=False)
         self.counts = arr
@@ -140,13 +169,19 @@ class Scenario:
     """Validated delimitation input: grid, dot value, population threshold.
 
     ``state_labels`` is an optional per-cell label grid of the same shape;
-    every label's cells must form one orthogonally connected region.
+    every label's cells must form one orthogonally connected region. It is
+    also held as ``label_codes``, an int32 raster of each cell's index into
+    the sorted ``states``.
     """
 
     grid: DotGrid
     people_per_dot: int
     threshold: int
     state_labels: tuple[tuple[str, ...], ...] | None = None
+    label_codes: np.ndarray | None = field(default=None, init=False, repr=False,
+                                           compare=False)
+    _state_names: tuple[str, ...] | None = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         if self.people_per_dot < 1:
@@ -154,19 +189,21 @@ class Scenario:
         if self.threshold < 1:
             raise ScenarioError(f"threshold must be >= 1, got {self.threshold}")
         if self.state_labels is not None:
-            _validate_labels(self.grid, self.state_labels)
+            codes, names = _validate_labels(self.grid, self.state_labels)
+            object.__setattr__(self, "label_codes", codes)
+            object.__setattr__(self, "_state_names", names)
 
     @property
     def states(self) -> list[str] | None:
         """Sorted distinct state labels, or None for unlabelled scenarios."""
-        if self.state_labels is None:
+        if self._state_names is None:
             return None
-        return sorted({lab for row in self.state_labels for lab in row})
+        return list(self._state_names)
 
     def label_array(self) -> np.ndarray | None:
         if self.state_labels is None:
             return None
-        return np.array(self.state_labels)
+        return np.array(self._state_names)[self.label_codes]
 
     def total_population(self) -> int:
         return self.people_per_dot * self.grid.total_dots
@@ -179,43 +216,131 @@ class Scenario:
 
     @cached_property
     def _state_dots(self) -> dict[str, int]:
-        """Dot total per state, summed in Python integers in one raster pass
-        on first use. States without dots have no entry."""
-        totals: dict[str, int] = {}
-        for labels, counts in zip(self.state_labels, self.grid.counts):
-            for label, count in zip(labels, counts.tolist()):
-                if count:
-                    totals[label] = totals.get(label, 0) + count
-        return totals
+        """Dot total per state, built on first use: the counts sorted by state
+        code and summed per code in int64, which cannot wrap because the
+        grid total fits."""
+        codes = self.label_codes.ravel()
+        order = np.argsort(codes)
+        starts = np.searchsorted(codes[order], np.arange(len(self._state_names)))
+        sums = np.add.reduceat(self.grid.counts.ravel()[order], starts)
+        return dict(zip(self._state_names, sums.tolist()))
 
 
-def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]) -> None:
+def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]
+                     ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Check the label grid's shape and each state's connectivity; return the
+    read-only int32 code raster and the sorted state names."""
     if len(labels) != grid.height or any(len(row) != grid.width for row in labels):
         raise ScenarioError(
             f"state label grid must be {grid.width}x{grid.height} like the dot grid"
         )
-    seen_roots: dict[str, tuple[int, int]] = {}
-    visited = [[False] * grid.width for _ in range(grid.height)]
-    for y in range(grid.height):
-        for x in range(grid.width):
-            lab = labels[y][x]
-            if visited[y][x]:
-                continue
-            if lab in seen_roots:
-                raise ScenarioError(
-                    f"state '{lab}' is not orthogonally connected: "
-                    f"cell ({x}, {y}) is separate from cell {seen_roots[lab]}"
-                )
-            seen_roots[lab] = (x, y)
-            queue = deque([(x, y)])
-            visited[y][x] = True
-            while queue:
-                cx, cy = queue.popleft()
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-                    if 0 <= nx < grid.width and 0 <= ny < grid.height \
-                            and not visited[ny][nx] and labels[ny][nx] == lab:
-                        visited[ny][nx] = True
-                        queue.append((nx, ny))
+    # A dict keeps labels exact; numpy's fixed-width strings drop trailing NULs.
+    names = tuple(sorted(set().union(*labels)))
+    index = {name: i for i, name in enumerate(names)}
+    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(labels)),
+                        dtype=np.int32, count=grid.height * grid.width)
+    codes = codes.reshape(grid.height, grid.width)
+    codes.setflags(write=False)
+    _check_connected(codes, names)
+    return codes, names
+
+
+def _check_connected(codes: np.ndarray, names: tuple[str, ...]) -> None:
+    """Union-find over row runs of equal codes.
+
+    Runs are numbered in row-major order of their first cell, and a union
+    keeps the smaller number as root, so a component's root is its first
+    run. The error names what a row-major flood fill finds first: the first
+    cell of the first component that is not its state's first, and the
+    state's first cell.
+    """
+    height, width = codes.shape
+    run_start = np.ones(codes.shape, dtype=bool)
+    run_start[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    run_of = np.cumsum(run_start.ravel()) - 1
+    n_runs = int(run_of[-1]) + 1
+    # Vertical contacts between runs of one state; a pair of runs touching
+    # along several cells is listed once.
+    same = (codes[1:] == codes[:-1]).ravel()
+    above, below = run_of[:-width][same], run_of[width:][same]
+    if above.size > 1:
+        first = np.ones(above.size, dtype=bool)
+        first[1:] = (above[1:] != above[:-1]) | (below[1:] != below[:-1])
+        above, below = above[first], below[first]
+
+    parent = list(range(n_runs))
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    components = n_runs
+    for a, b in zip(above.tolist(), below.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            components -= 1
+    if components == len(names):
+        return
+
+    roots = np.array([find(r) for r in range(n_runs)])
+    run_cells = np.flatnonzero(run_start)
+    comp_runs = np.flatnonzero(roots == np.arange(n_runs))
+    comp_codes = codes.ravel()[run_cells[comp_runs]]
+    # Every code has a component; its first one is not extra.
+    _, first_comp = np.unique(comp_codes, return_index=True)
+    extra = np.ones(comp_runs.size, dtype=bool)
+    extra[first_comp] = False
+    bad = int(np.argmax(extra))
+    code = int(comp_codes[bad])
+    y, x = divmod(int(run_cells[comp_runs[bad]]), width)
+    seen = divmod(int(run_cells[comp_runs[first_comp[code]]]), width)[::-1]
+    raise ScenarioError(
+        f"state '{names[code]}' is not orthogonally connected: "
+        f"cell ({x}, {y}) is separate from cell {seen}"
+    )
+
+
+def _parse_counts(rows: list[tuple[int, str]], width: int, height: int) -> np.ndarray:
+    """The count block as an int64 raster; ``rows`` are (line number, line)."""
+    lines = [line for _, line in rows]
+    block = "\n".join(lines)
+    if block.isascii() and not block.encode("ascii").translate(None, _PLAIN_COUNT_BYTES):
+        try:
+            counts = np.loadtxt(lines, dtype=np.int64, ndmin=2)
+        except ValueError:  # ragged rows, or a value above int64
+            pass
+        else:
+            if counts.shape == (height, width):
+                return counts
+    return np.array(_parse_counts_by_token(rows, width), dtype=np.int64)
+
+
+def _parse_counts_by_token(rows: list[tuple[int, str]], width: int) -> list[list[int]]:
+    """Read each count token with ``int``, naming the first bad cell."""
+    counts: list[list[int]] = []
+    for lineno, line in rows:
+        tokens = line.split()
+        if len(tokens) != width:
+            raise ScenarioError(
+                f"dimension mismatch: expected {width} cells, found {len(tokens)}",
+                line=lineno,
+            )
+        row: list[int] = []
+        for col, tok in enumerate(tokens, start=1):
+            try:
+                val = int(tok)
+            except ValueError:
+                raise ScenarioError(f"non-numeric cell value {tok!r}",
+                                    line=lineno, column=col) from None
+            if val < 0:
+                raise ScenarioError(f"negative cell value {val}", line=lineno, column=col)
+            if val > INT64_MAX:
+                raise ScenarioError("cell value exceeds 2**63-1", line=lineno, column=col)
+            row.append(val)
+        counts.append(row)
+    return counts
 
 
 def load_scenario(text: str) -> Scenario:
@@ -227,18 +352,19 @@ def load_scenario(text: str) -> Scenario:
         <H rows of W non-negative dot counts>
         STATES            # optional
         <H rows of W state label tokens>
+
+    A cell above 2**63-1, or a dot total above it, is a ScenarioError.
     """
-    rows: list[tuple[int, list[str]]] = []  # (1-based line number, tokens)
+    rows: list[tuple[int, str]] = []  # (1-based line number, stripped line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
+        if stripped and not stripped.startswith("#"):
+            rows.append((lineno, stripped))
 
     if not rows:
         raise ScenarioError("empty scenario: no header line found")
 
-    header_line, header = rows[0]
+    header_line, header = rows[0][0], rows[0][1].split()
     if len(header) != 4:
         raise ScenarioError(
             f"header must be 'W H X TH' (4 integers), got {len(header)} tokens",
@@ -261,32 +387,13 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"dimension mismatch: expected {height} count rows, found {len(body)}"
         )
-
-    counts: list[list[int]] = []
-    for row_index in range(height):
-        lineno, tokens = body[row_index]
-        if len(tokens) != width:
-            raise ScenarioError(
-                f"dimension mismatch: expected {width} cells, found {len(tokens)}",
-                line=lineno,
-            )
-        row: list[int] = []
-        for col, tok in enumerate(tokens, start=1):
-            try:
-                val = int(tok)
-            except ValueError:
-                raise ScenarioError(f"non-numeric cell value {tok!r}",
-                                    line=lineno, column=col) from None
-            if val < 0:
-                raise ScenarioError(f"negative cell value {val}", line=lineno, column=col)
-            row.append(val)
-        counts.append(row)
+    counts = _parse_counts(body[:height], width, height)
 
     labels: tuple[tuple[str, ...], ...] | None = None
     rest = body[height:]
     if rest:
         marker_line, marker = rest[0]
-        if marker != ["STATES"]:
+        if marker.split() != ["STATES"]:
             raise ScenarioError("unexpected content after count rows "
                                 "(expected 'STATES' marker or end of file)",
                                 line=marker_line)
@@ -300,14 +407,15 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError("unexpected content after state label rows",
                                 line=label_rows[height][0])
         out: list[tuple[str, ...]] = []
-        for lineno, tokens in label_rows:
+        for lineno, line in label_rows:
+            tokens = tuple(line.split())
             if len(tokens) != width:
                 raise ScenarioError(
                     f"dimension mismatch: expected {width} state labels, "
                     f"found {len(tokens)}",
                     line=lineno,
                 )
-            out.append(tuple(tokens))
+            out.append(tokens)
         labels = tuple(out)
 
     return Scenario(grid=DotGrid(counts), people_per_dot=x, threshold=th,

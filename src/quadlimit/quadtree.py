@@ -236,18 +236,18 @@ def delimit(scenario: Scenario) -> DelimitationResult:
     """
     grid = scenario.grid
     x, th = scenario.people_per_dot, scenario.threshold
-    labels = scenario.label_array()
+    codes = scenario.label_codes
 
     constituencies: list[Constituency] = []
     trees: dict[str | None, QuadTree] = {}
-    per_state: dict[str, list[int]] | None = None if labels is None else {}
+    per_state: dict[str, list[int]] | None = None if codes is None else {}
 
-    for state in scenario.states or [None]:
+    for code, state in enumerate(scenario.states or [None]):
         if state is None:
             tree = build_tree(grid, x, th)
         else:
             # The masked grid is dropped once its tree is built.
-            mask = labels == state
+            mask = codes == code
             tree = build_tree(grid.masked(mask), x, th, root_rect=_state_bbox(mask))
         trees[state] = tree
         units = [u for ulist in merge_siblings(tree, th).values() for u in ulist]
@@ -415,9 +415,14 @@ def result_from_json(text: str) -> DelimitationResult:
     _require(doc["count"] == len(constituencies),
              "count %s does not match %d constituencies", doc["count"], len(constituencies))
 
+    for key in ("threshold", "peoplePerDot"):
+        _require(type(doc[key]) is int and doc[key] >= 1, "'%s' must be a positive integer", key)
     stats = doc["stats"]
     _require(isinstance(stats, dict) and all(k in stats for k in ("nodes", "leaves", "maxDepth")),
              "'stats' must carry nodes, leaves, maxDepth")
+    for key in ("nodes", "leaves", "maxDepth"):
+        _require(type(stats[key]) is int and stats[key] >= 0,
+                 "'stats.%s' must be a non-negative integer", key)
 
     width = max(r.x0 + r.w for c in constituencies for r in c.shape)
     height = max(r.y0 + r.h for c in constituencies for r in c.shape)

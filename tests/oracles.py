@@ -1,9 +1,10 @@
 """Independent reference computations the tests check the package against.
 
 Everything here deliberately avoids the package's own data paths: sums are
-naive double loops, connectivity is cell flood fill, divisor methods are
-solved globally instead of seat-by-seat, and SVG outlines are re-rasterized
-by point-in-polygon testing.
+naive double loops, connectivity is cell flood fill, scenario text is read
+token by token, divisor methods are solved globally instead of
+seat-by-seat, and SVG outlines are re-rasterized by point-in-polygon
+testing.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import re
 from collections import deque
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from typing import NamedTuple
+
+from quadlimit import ScenarioError
 
 
 # --- naive raster sums -------------------------------------------------------
@@ -192,6 +196,133 @@ def containment_scan(result, cx, cy):
             continue
         return c
     raise AssertionError(f"no constituency contains ({cx}, {cy})")
+
+
+# --- scenario parsing oracles ------------------------------------------------
+
+class ReferenceScenario(NamedTuple):
+    counts: list[list[int]]
+    people_per_dot: int
+    threshold: int
+    state_labels: tuple[tuple[str, ...], ...] | None
+
+
+def validate_labels_bfs(labels, width: int, height: int) -> None:
+    """Connectivity by cell-by-cell flood fill in row-major scan order."""
+    if len(labels) != height or any(len(row) != width for row in labels):
+        raise ScenarioError(
+            f"state label grid must be {width}x{height} like the dot grid"
+        )
+    seen_roots: dict[str, tuple[int, int]] = {}
+    visited = [[False] * width for _ in range(height)]
+    for y in range(height):
+        for x in range(width):
+            lab = labels[y][x]
+            if visited[y][x]:
+                continue
+            if lab in seen_roots:
+                raise ScenarioError(
+                    f"state '{lab}' is not orthogonally connected: "
+                    f"cell ({x}, {y}) is separate from cell {seen_roots[lab]}"
+                )
+            seen_roots[lab] = (x, y)
+            queue = deque([(x, y)])
+            visited[y][x] = True
+            while queue:
+                cx, cy = queue.popleft()
+                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
+                    if 0 <= nx < width and 0 <= ny < height \
+                            and not visited[ny][nx] and labels[ny][nx] == lab:
+                        visited[ny][nx] = True
+                        queue.append((nx, ny))
+
+
+def load_scenario_reference(text: str) -> ReferenceScenario:
+    """Scenario parsing token by token with ``int``, then the flood fill."""
+    rows: list[tuple[int, list[str]]] = []  # (1-based line number, tokens)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append((lineno, stripped.split()))
+
+    if not rows:
+        raise ScenarioError("empty scenario: no header line found")
+
+    header_line, header = rows[0]
+    if len(header) != 4:
+        raise ScenarioError(
+            f"header must be 'W H X TH' (4 integers), got {len(header)} tokens",
+            line=header_line,
+        )
+    try:
+        width, height, x, th = (int(tok) for tok in header)
+    except ValueError:
+        raise ScenarioError("header must contain integers only", line=header_line) from None
+    if width < 1 or height < 1:
+        raise ScenarioError(f"grid dimensions must be positive, got {width}x{height}",
+                            line=header_line)
+    if x < 1:
+        raise ScenarioError(f"people-per-dot must be >= 1, got {x}", line=header_line)
+    if th < 1:
+        raise ScenarioError(f"threshold must be >= 1, got {th}", line=header_line)
+
+    body = rows[1:]
+    if len(body) < height:
+        raise ScenarioError(
+            f"dimension mismatch: expected {height} count rows, found {len(body)}"
+        )
+
+    counts: list[list[int]] = []
+    for row_index in range(height):
+        lineno, tokens = body[row_index]
+        if len(tokens) != width:
+            raise ScenarioError(
+                f"dimension mismatch: expected {width} cells, found {len(tokens)}",
+                line=lineno,
+            )
+        row: list[int] = []
+        for col, tok in enumerate(tokens, start=1):
+            try:
+                val = int(tok)
+            except ValueError:
+                raise ScenarioError(f"non-numeric cell value {tok!r}",
+                                    line=lineno, column=col) from None
+            if val < 0:
+                raise ScenarioError(f"negative cell value {val}", line=lineno, column=col)
+            row.append(val)
+        counts.append(row)
+
+    labels: tuple[tuple[str, ...], ...] | None = None
+    rest = body[height:]
+    if rest:
+        marker_line, marker = rest[0]
+        if marker != ["STATES"]:
+            raise ScenarioError("unexpected content after count rows "
+                                "(expected 'STATES' marker or end of file)",
+                                line=marker_line)
+        label_rows = rest[1:]
+        if len(label_rows) < height:
+            raise ScenarioError(
+                f"dimension mismatch: expected {height} state label rows, "
+                f"found {len(label_rows)}"
+            )
+        if len(label_rows) > height:
+            raise ScenarioError("unexpected content after state label rows",
+                                line=label_rows[height][0])
+        out: list[tuple[str, ...]] = []
+        for lineno, tokens in label_rows:
+            if len(tokens) != width:
+                raise ScenarioError(
+                    f"dimension mismatch: expected {width} state labels, "
+                    f"found {len(tokens)}",
+                    line=lineno,
+                )
+            out.append(tuple(tokens))
+        labels = tuple(out)
+        validate_labels_bfs(labels, width, height)
+
+    return ReferenceScenario(counts, x, th, labels)
 
 
 # --- apportionment oracles ---------------------------------------------------

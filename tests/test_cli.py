@@ -54,6 +54,16 @@ class TestDelimitCommand:
         assert run(["delimit", str(bad)]) == 3
         assert "dimension mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 1 1 5\n99999999999999999999\n", "cell value exceeds 2**63-1 (line 2, column 1)"),
+        ("2 1 1 5\n9223372036854775807 1\n", "total dot count 9223372036854775808 exceeds"),
+    ])
+    def test_int64_overflow_is_exit_3(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "big.txt"
+        bad.write_text(text)
+        assert run(["delimit", str(bad)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_threshold_override_changes_partition(self, grid16, capsys):
         assert run(["delimit", grid16, "--threshold", "6400"]) == 0
         assert capsys.readouterr().out == "constituencies: 4\n"

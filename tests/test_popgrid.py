@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from quadlimit import DotGrid, Rect, Scenario, ScenarioError, build_sat, \
     load_scenario
+from quadlimit import popgrid
 
 import helpers
 from helpers import scenario_text
-from oracles import naive_rect_sum, naive_sat
+from oracles import load_scenario_reference, naive_rect_sum, naive_sat, \
+    validate_labels_bfs
+
+INT64_MAX = 2**63 - 1
 
 
 rasters = st.integers(1, 12).flatmap(
@@ -197,6 +201,175 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="empty scenario"):
             load_scenario("# nothing here\n")
 
+    def test_cell_above_int64_names_line_and_column(self):
+        with pytest.raises(ScenarioError,
+                           match=r"cell value exceeds 2\*\*63-1 \(line 3, column 2\)"):
+            load_scenario("2 2 1 5\n1 1\n1 99999999999999999999\n")
+
+    def test_total_above_int64_rejected(self):
+        # The int64 summed-area table would read -2**63 here.
+        with pytest.raises(ScenarioError, match="total dot count 9223372036854775808"):
+            load_scenario(f"2 1 1 5\n{INT64_MAX} 1\n")
+        s = load_scenario(f"2 1 1 5\n{INT64_MAX - 1} 1\n")
+        assert s.grid.total_dots == INT64_MAX
+
+    @given(st.lists(st.integers(0, INT64_MAX), min_size=1, max_size=12))
+    @settings(max_examples=60)
+    def test_grid_total_check_is_exact(self, cells):
+        if sum(cells) > INT64_MAX:
+            with pytest.raises(ScenarioError, match="exceeds 2\\*\\*63-1"):
+                DotGrid([cells])
+        else:
+            assert DotGrid([cells]).total_dots == sum(cells)
+
+    def test_plain_digits_skip_the_token_loop(self, monkeypatch):
+        def token_loop(*args):
+            raise AssertionError("the count block was read token by token")
+
+        monkeypatch.setattr(popgrid, "_parse_counts_by_token", token_loop)
+        s = load_scenario(f"# map\n3 2 1 5\n1\t20  300\n\n000 4 {INT64_MAX - 325}\n")
+        assert s.grid.counts.tolist() == [[1, 20, 300], [0, 4, INT64_MAX - 325]]
+        assert s.grid.total_dots == INT64_MAX
+        with pytest.raises(AssertionError, match="token by token"):
+            load_scenario("2 1 1 5\n+1 2\n")
+
+
+# --- differential tests against the token-by-token parser and flood fill ----
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                          "\u0665\u0666\u0667\u0668\u0669")
+# Token separators, one set per text. \xa0 and \u3000 split tokens but are
+# not ASCII; \x1c, \x85 and \u2028 also end a line.
+SEPARATORS = [[" "], [" "], [" ", "  ", "\t", " \t "], [" ", "\xa0", "\u3000"],
+              [" ", "\x1c", "\x85", "\u2028"]]
+LABELS = ["A", "B", "C", "A\x00", "\u00e9"]
+
+
+@st.composite
+def count_tokens(draw, value):
+    text = str(value)
+    style = draw(st.sampled_from(["plain"] * 6 + ["zeros", "plus", "underscore",
+                                                   "arabic"]))
+    if style == "zeros":  # tokens of up to 37 digits, with values far below 2**63
+        return "0" * draw(st.integers(1, 24)) + text
+    if style == "plus":
+        return "+" + text
+    if style == "underscore" and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    if style == "arabic":
+        return text.translate(ARABIC_INDIC)
+    return text
+
+
+@st.composite
+def label_maps(draw, width, height):
+    """Cell-by-cell random labels (often disconnected), or regions grown
+    from seeds (connected, usually not convex)."""
+    names = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        return [[draw(st.sampled_from(names)) for _ in range(width)] for _ in range(height)]
+    rng = draw(st.randoms(use_true_random=False))
+    grid = [[None] * width for _ in range(height)]
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    for name, (x, y) in zip(names, rng.sample(cells, min(len(names), len(cells)))):
+        grid[y][x] = name
+    while any(None in row for row in grid):
+        x, y = rng.choice(cells)
+        if grid[y][x] is None:
+            continue
+        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if 0 <= nx < width and 0 <= ny < height and grid[ny][nx] is None:
+                grid[ny][nx] = grid[y][x]
+                break
+    return grid
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario files spelled in every way ``int`` and ``str.split`` accept,
+    with at most one defect mixed in. Values stay far below 2**63."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = draw(st.lists(st.integers(0, 10**12), min_size=width * height,
+                           max_size=width * height))
+    rows = [[draw(count_tokens(values[y * width + x])) for x in range(width)]
+            for y in range(height)]
+    labelled = draw(st.booleans())
+    if labelled:
+        rows += [["STATES"]] + draw(label_maps(width, height))
+    defect = draw(st.sampled_from(["none"] * 4 + [
+        "negative", "word", "inline_comment", "ragged", "extra_token",
+        "comment_line", "blank_line", "drop_line", "trailing_line", "bad_marker"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    if defect == "negative":
+        rows[r][-1] = "-1"
+    elif defect == "word":
+        rows[r][0] = "x1"
+    elif defect == "inline_comment":
+        rows[r].append("# note")
+    elif defect == "ragged" and len(rows[r]) > 1:
+        rows[r].pop()
+    elif defect == "extra_token":
+        rows[r].append("7")
+    elif defect == "drop_line":
+        del rows[r]
+    elif defect == "trailing_line":
+        rows.append(["9"])
+    elif defect == "bad_marker" and labelled:
+        rows[height] = ["STATE"]
+    lines = [f"{width} {height} {draw(st.integers(1, 500))} {draw(st.integers(1, 10**6))}"]
+    separators = draw(st.sampled_from(SEPARATORS))
+    lines += [draw(st.sampled_from(separators)).join(row) for row in rows]
+    if defect in ("comment_line", "blank_line"):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     "  # note" if defect == "comment_line" else " \t ")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except Exception as exc:  # the type and message are what is compared
+        return "error", type(exc), str(exc)
+
+
+class TestParserDifferential:
+    @given(scenario_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_token_parser_and_flood_fill(self, text):
+        new, ref = _outcome(load_scenario, text), _outcome(load_scenario_reference, text)
+        assert new[0] == ref[0], (new, ref)
+        if new[0] == "error":
+            assert new[1:] == ref[1:]
+            return
+        s, r = new[1], ref[1]
+        assert s.grid.counts.tolist() == r.counts
+        assert (s.people_per_dot, s.threshold) == (r.people_per_dot, r.threshold)
+        assert s.state_labels == r.state_labels
+        if r.state_labels is None:
+            assert s.states is None
+            return
+        states = sorted({lab for row in r.state_labels for lab in row})
+        assert s.states == states
+        for lab in states:
+            dots = sum(c for crow, lrow in zip(r.counts, r.state_labels)
+                       for c, l in zip(crow, lrow) if l == lab)
+            assert s.state_population(lab) == r.people_per_dot * dots
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_label_check_matches_flood_fill(self, width, height, data):
+        labels = tuple(map(tuple, data.draw(label_maps(width, height))))
+        grid = DotGrid([[1] * width for _ in range(height)])
+        new = _outcome(lambda ls: Scenario(grid, 1, 1, state_labels=ls), labels)
+        ref = _outcome(lambda ls: validate_labels_bfs(ls, width, height), labels)
+        assert new[0] == ref[0]
+        if new[0] == "error":
+            assert new[1:] == ref[1:]
+        else:
+            assert new[1].states == sorted({lab for row in labels for lab in row})
+            assert new[1].label_codes.tolist() == [[new[1].states.index(lab) for lab in row]
+                                                   for row in labels]
+
 
 class TestScenarioValidation:
     def test_programmatic_invariants(self):
@@ -248,6 +421,13 @@ class TestStatePopulation:
         s = Scenario(grid=DotGrid([[1, 2]]), people_per_dot=7, threshold=1)
         with pytest.raises(ValueError, match="no state labels"):
             s.state_population("A")
+
+    def test_state_totals_near_int64_max_are_exact(self):
+        big = INT64_MAX // 2
+        s = Scenario(grid=DotGrid([[big, 1], [big, 0]]), people_per_dot=2,
+                     threshold=1, state_labels=(("A", "B"), ("A", "B")))
+        assert s.state_population("A") == 2 * (INT64_MAX - 1)
+        assert s.state_population("B") == 2
 
     def test_total_above_2_53_is_exact(self):
         # In float64, 2**53 + 1 + 1 rounds back to 2**53.

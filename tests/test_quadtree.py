@@ -494,6 +494,16 @@ class TestSerialization:
                 result_from_json(json.dumps(bad))
         with pytest.raises(ResultFormatError, match="must not be empty"):
             result_from_json(json.dumps(dict(good, count=0, constituencies=[])))
+        for key in ("threshold", "peoplePerDot"):
+            for value in ("abc", -5, 0, True, 1.5, None, [1]):
+                with pytest.raises(ResultFormatError, match=f"'{key}' must be a positive"):
+                    result_from_json(json.dumps(dict(good, **{key: value})))
+        for key in ("nodes", "leaves", "maxDepth"):
+            for value in ("x", None, [1], -1, False, 2.0):
+                bad = json.loads(json.dumps(good))
+                bad["stats"][key] = value
+                with pytest.raises(ResultFormatError, match=f"'stats.{key}' must be"):
+                    result_from_json(json.dumps(bad))
 
     def test_result_is_frozen(self):
         result = delimit(TestDelimitStates().quadrant_scenario())
