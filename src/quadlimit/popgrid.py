@@ -99,7 +99,11 @@ def build_sat(counts) -> np.ndarray:
         raise ValueError("counts must be a non-empty 2-D raster")
     h, w = arr.shape
     sat = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(arr, axis=0), axis=1, out=sat[1:, 1:])
+    np.cumsum(arr, axis=1, out=sat[1:, 1:])
+    # Down the columns one row at a time: a cumsum along axis 0 of a C-ordered
+    # raster strides across rows and is several times slower.
+    for y in range(2, h + 1):
+        np.add(sat[y - 1, 1:], sat[y, 1:], out=sat[y, 1:])
     return sat
 
 
@@ -120,9 +124,15 @@ def _check_total(arr: np.ndarray) -> None:
 
 
 class DotGrid:
-    """Immutable raster of per-cell dot counts plus its summed-area table."""
+    """Immutable raster of per-cell dot counts plus its summed-area table.
 
-    def __init__(self, counts):
+    The raster's top-left cell sits at ``(x0, y0)`` of the map, (0, 0) unless
+    the grid came from ``masked``. ``bounds`` and ``count_dots`` speak map
+    coordinates; ``counts``, ``sat``, ``width``, ``height`` and
+    ``total_dots`` describe the raster itself.
+    """
+
+    def __init__(self, counts, *, origin: tuple[int, int] = (0, 0)):
         arr = np.array(counts, dtype=np.int64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("counts must be a non-empty 2-D raster")
@@ -130,6 +140,7 @@ class DotGrid:
             raise ValueError("dot counts must be non-negative")
         _check_total(arr)
         self.height, self.width = arr.shape
+        self.x0, self.y0 = origin
         arr.setflags(write=False)
         self.counts = arr
         sat = build_sat(arr)
@@ -141,27 +152,33 @@ class DotGrid:
         return int(self.sat[self.height, self.width])
 
     def bounds(self) -> Rect:
-        return Rect(0, 0, self.width, self.height)
+        return Rect(self.x0, self.y0, self.width, self.height)
 
     def count_dots(self, r: Rect) -> int:
-        """Dot count over ``r`` via four-corner inclusion-exclusion."""
-        if r.x0 + r.w > self.width or r.y0 + r.h > self.height:
+        """Dot count over map rect ``r`` via four-corner inclusion-exclusion."""
+        x0, y0 = r.x0 - self.x0, r.y0 - self.y0
+        x1, y1 = x0 + r.w, y0 + r.h
+        if x0 < 0 or y0 < 0 or x1 > self.width or y1 > self.height:
             raise ValueError(
-                f"rect {r.as_tuple()} exceeds grid bounds {self.width}x{self.height}"
+                f"rect {r.as_tuple()} exceeds grid bounds {self.bounds().as_tuple()}"
             )
         s = self.sat
-        return int(
-            s[r.y0 + r.h, r.x0 + r.w]
-            - s[r.y0, r.x0 + r.w]
-            - s[r.y0 + r.h, r.x0]
-            + s[r.y0, r.x0]
-        )
+        return int(s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0])
 
     def masked(self, keep: np.ndarray) -> "DotGrid":
-        """Grid of identical shape with counts zeroed where ``keep`` is False."""
+        """Grid over the bounding box of ``keep``'s True cells, with counts
+        zeroed where ``keep`` is False; ``keep`` has this grid's shape."""
         if keep.shape != (self.height, self.width):
             raise ValueError("mask shape does not match grid")
-        return DotGrid(np.where(keep, self.counts, 0))
+        rows = np.flatnonzero(keep.any(axis=1))
+        if rows.size == 0:
+            raise ValueError("mask keeps no cell")
+        y0, y1 = int(rows[0]), int(rows[-1]) + 1
+        cols = np.flatnonzero(keep[y0:y1].any(axis=0))
+        x0, x1 = int(cols[0]), int(cols[-1]) + 1
+        box = (slice(y0, y1), slice(x0, x1))
+        return DotGrid(np.where(keep[box], self.counts[box], 0),
+                       origin=(self.x0 + x0, self.y0 + y0))
 
 
 @dataclass(frozen=True)

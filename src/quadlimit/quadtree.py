@@ -220,12 +220,6 @@ def _constituency_from_unit(cid: int, unit: MergeUnit, threshold: int,
     )
 
 
-def _state_bbox(mask: np.ndarray) -> Rect:
-    ys, xs = np.nonzero(mask)
-    x0, y0 = int(xs.min()), int(ys.min())
-    return Rect(x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1)
-
-
 def delimit(scenario: Scenario) -> DelimitationResult:
     """Partition the scenario grid into constituencies.
 
@@ -243,12 +237,9 @@ def delimit(scenario: Scenario) -> DelimitationResult:
     per_state: dict[str, list[int]] | None = None if codes is None else {}
 
     for code, state in enumerate(scenario.states or [None]):
-        if state is None:
-            tree = build_tree(grid, x, th)
-        else:
-            # The masked grid is dropped once its tree is built.
-            mask = codes == code
-            tree = build_tree(grid.masked(mask), x, th, root_rect=_state_bbox(mask))
+        # A state's masked grid covers its bounding box, which roots its
+        # tree; the grid is dropped once the tree is built.
+        tree = build_tree(grid if state is None else grid.masked(codes == code), x, th)
         trees[state] = tree
         units = [u for ulist in merge_siblings(tree, th).values() for u in ulist]
         units.sort(key=lambda u: u.leaves[0].id)

@@ -10,6 +10,7 @@ constituencies therefore render as a single outline with no interior lines.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .popgrid import DotGrid
@@ -157,12 +158,12 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
     if result.state_labels is not None:
         lines.append(f'  <g id="states" fill="none" stroke="{style.state_color}" '
                      f'stroke-width="{style.state_width}">')
-        labels = result.state_labels
-        for state in sorted({lab for row in labels for lab in row}):
-            cells = {(x, y)
-                     for y in range(result.height)
-                     for x in range(result.width) if labels[y][x] == state}
-            path = _loops_to_path(boundary_loops(cells), cell)
+        state_cells: defaultdict[str, set[tuple[int, int]]] = defaultdict(set)
+        for y, row in enumerate(result.state_labels):
+            for x, state in enumerate(row):
+                state_cells[state].add((x, y))
+        for state in sorted(state_cells):
+            path = _loops_to_path(boundary_loops(state_cells[state]), cell)
             lines.append(f'    <path id="state-{state}" d="{path}"/>')
         lines.append("  </g>")
 

@@ -39,10 +39,46 @@ def random_state_labels(rng: random.Random, width: int, height: int):
     )
 
 
+def random_staircase_labels(rng: random.Random, width: int, height: int):
+    """2-3 columns by 1-2 rows of blocks whose vertical edges are staircases:
+    down each block row, rows shift one cell further left every ``k`` rows
+    (at most a block width less one), so each state is edge-connected, not
+    a rectangle, and neighbouring bounding boxes overlap. Needs width >= 6
+    and height >= 2."""
+    nx, ny, k = rng.randint(2, 3), rng.randint(1, 2), rng.randint(1, 3)
+    bw, bh = width // nx, height // ny
+
+    def state(x, y):
+        block_row = min(y // bh, ny - 1)
+        shift = min((y - block_row * bh) // k, bw - 1)
+        return f"S{block_row * nx + min((x + shift) // bw, nx - 1)}"
+
+    return tuple(tuple(state(x, y) for x in range(width)) for y in range(height))
+
+
+def random_l_labels(rng: random.Random, width: int, height: int):
+    """State B in the top-right corner, optionally C in the bottom-left one,
+    and the L- or S-shaped rest A around them; a full row of A between B
+    and C keeps A connected. Needs width >= 2 and height >= 3."""
+    wb, hb = rng.randint(1, width - 1), rng.randint(1, height - 2)
+    hc = rng.randint(0, height - hb - 1)
+    wc = rng.randint(1, width - 1)
+
+    def state(x, y):
+        if y < hb and x >= width - wb:
+            return "B"
+        if y >= height - hc and x < wc:
+            return "C"
+        return "A"
+
+    return tuple(tuple(state(x, y) for x in range(width)) for y in range(height))
+
+
 def random_scenario(rng: random.Random, max_dim: int = 64,
-                    with_states: bool | None = None) -> Scenario:
-    width = rng.randint(1, max_dim)
-    height = rng.randint(1, max_dim)
+                    with_states: bool | None = None, min_dim: int = 1,
+                    labeller=random_state_labels) -> Scenario:
+    width = rng.randint(min_dim, max_dim)
+    height = rng.randint(min_dim, max_dim)
     counts = random_counts(rng, width, height)
     grid = DotGrid(counts)
     x = rng.choice([1, 1, 5, 100, 500, rng.randint(1, 1000)])
@@ -56,7 +92,7 @@ def random_scenario(rng: random.Random, max_dim: int = 64,
         rng.randint(1, max(1, total + 1)),
     ])
     labeled = with_states if with_states is not None else rng.random() < 0.25
-    labels = random_state_labels(rng, width, height) if labeled else None
+    labels = labeller(rng, width, height) if labeled else None
     return Scenario(grid=grid, people_per_dot=x, threshold=threshold,
                     state_labels=labels)
 

@@ -1,7 +1,8 @@
 """Independent reference computations the tests check the package against.
 
 Everything here deliberately avoids the package's own data paths: sums are
-naive double loops, connectivity is cell flood fill, scenario text is read
+naive double loops (or, for the summed-area table, the previous
+whole-array cumulative sums), connectivity is cell flood fill, scenario text is read
 token by token, divisor methods are solved globally instead of
 seat-by-seat, and SVG outlines are re-rasterized by point-in-polygon
 testing.
@@ -15,6 +16,8 @@ from collections import deque
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from quadlimit import ScenarioError
 
@@ -35,6 +38,15 @@ def naive_sat(counts) -> list[list[int]]:
     for r in range(1, height + 1):
         for c in range(1, width + 1):
             sat[r][c] = naive_rect_sum(counts, 0, 0, c, r)
+    return sat
+
+
+def sat_by_double_cumsum(counts) -> np.ndarray:
+    """The summed-area table as two whole-array cumulative sums, column-wise
+    then row-wise."""
+    arr = np.asarray(counts, dtype=np.int64)
+    sat = np.zeros((arr.shape[0] + 1, arr.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(arr, axis=0), axis=1, out=sat[1:, 1:])
     return sat
 
 

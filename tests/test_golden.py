@@ -13,9 +13,11 @@ leave these digests as they are too.
 import hashlib
 import random
 
+import numpy as np
+
 from quadlimit import delimit, render_ascii_grid, render_svg, result_to_json
 
-from helpers import random_scenario
+from helpers import random_l_labels, random_scenario, random_staircase_labels
 
 GOLDEN = [
     ("d9938580f72d5022", "587f23f66028c6b7", "cdd13bed521c3c54"),
@@ -51,8 +53,41 @@ GOLDEN = [
 ]
 
 
+# Staircase (even rows) and L-shaped (odd rows) states from a fixed-seed
+# ``random_scenario`` sequence: non-rectangular states whose bounding boxes
+# overlap, so each state's tree covers cells of its neighbours. Taken from
+# the implementation that built every state's masked grid at full size.
+# Giving constituencies only the cells they own will change these on purpose.
+NON_RECT_GOLDEN = [
+    ("a19bad6ff7c2b78f", "8bbed2eb76ff746c", "75e7ddb1cca6b585"),
+    ("8be0d136b938720a", "54b0428b510293d2", "1882d789d72dd8fb"),
+    ("ee1c2b6c4345d508", "d9e2385824568702", "33367f69663bd6db"),
+    ("259e19a9bf0a436e", "0676d32b70601667", "87ab2a084ddeb9dd"),
+    ("d1d3d57724a955bd", "c3fbdce08c719ab2", "a35c60f52a0eb62c"),
+    ("2aa663ff8caac608", "3fc1f410e2008329", "bf03a966da817f33"),
+    ("c52199e8d5cf594e", "88bb51522947cc3b", "7c0f12731a54ef7a"),
+    ("b43cebc0f5f8d582", "1f3e5598c6763e47", "41a6590629560544"),
+    ("1a459e81efb9ff12", "4b778ea427b7cf24", "6dfbd1fe7bd2cd1d"),
+    ("acc3eaaaa98cbe71", "29ead4a1584652fe", "d9d58490405ff5b4"),
+    ("35e4138858f26a5a", "55027feeec53ac49", "d1fbe308db0c4ad3"),
+    ("f3c891efdc92d29b", "6f32319433799504", "c58acfba64a51e05"),
+    ("ac7544a529d97581", "7b907b68da8544ed", "4680a4f3d1e7ed61"),
+    ("c2285061c079647a", "646798bc016ba713", "ab297db572405d9b"),
+    ("e7433f2b7fee0bb7", "dfa6a8e25a7eedc1", "500339e0f16cf457"),
+    ("a74919decbfdfb30", "a29136b40f943388", "d21dbf13f6a46e6c"),
+]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _mismatch(scenario, expected) -> list[str]:
+    """Names of the output formats whose digest differs from ``expected``."""
+    result = delimit(scenario)
+    got = (_digest(result_to_json(result)), _digest(render_svg(result, scenario.grid)),
+           _digest(render_ascii_grid(result)))
+    return [k for k, a, b in zip(("json", "svg", "ascii"), got, expected) if a != b]
 
 
 def test_outputs_match_pinned_digests():
@@ -62,11 +97,33 @@ def test_outputs_match_pinned_digests():
     for i, expected in enumerate(GOLDEN):
         s = random_scenario(rng, max_dim=24, with_states=i % 2 == 1)
         labelled += s.state_labels is not None and len(s.states) > 1
-        result = delimit(s)
-        got = (_digest(result_to_json(result)), _digest(render_svg(result, s.grid)),
-               _digest(render_ascii_grid(result)))
-        if got != expected:
-            mismatched.append((i, [k for k, a, b in zip(("json", "svg", "ascii"), got,
-                                                         expected) if a != b]))
+        if differ := _mismatch(s, expected):
+            mismatched.append((i, differ))
     assert labelled >= 10
+    assert mismatched == []
+
+
+def _overlapping_boxes(scenario) -> bool:
+    """True if two states' bounding boxes share a cell."""
+    codes = scenario.label_codes
+    boxes = []
+    for code in range(len(scenario.states)):
+        ys, xs = np.nonzero(codes == code)
+        boxes.append((xs.min(), ys.min(), xs.max(), ys.max()))
+    return any(a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+               for i, a in enumerate(boxes) for b in boxes[i + 1:])
+
+
+def test_non_rectangular_states_match_pinned_digests():
+    rng = random.Random(7007)
+    mismatched = []
+    overlapping = 0
+    for i, expected in enumerate(NON_RECT_GOLDEN):
+        labeller = random_l_labels if i % 2 else random_staircase_labels
+        s = random_scenario(rng, max_dim=24, with_states=True, min_dim=6,
+                            labeller=labeller)
+        overlapping += _overlapping_boxes(s)
+        if differ := _mismatch(s, expected):
+            mismatched.append((i, differ))
+    assert overlapping == len(NON_RECT_GOLDEN)
     assert mismatched == []

@@ -12,7 +12,7 @@ from quadlimit import popgrid
 import helpers
 from helpers import scenario_text
 from oracles import load_scenario_reference, naive_rect_sum, naive_sat, \
-    validate_labels_bfs
+    sat_by_double_cumsum, validate_labels_bfs
 
 INT64_MAX = 2**63 - 1
 
@@ -63,6 +63,13 @@ class TestBuildSat:
     @settings(max_examples=50)
     def test_matches_naive_prefix_sums(self, counts):
         assert build_sat(counts).tolist() == naive_sat(counts)
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_matches_double_cumsum(self, width, height, seed):
+        # Cells up to 2**40 keep the largest possible total within int64.
+        counts = np.random.default_rng(seed).integers(0, 2**40, (height, width))
+        assert np.array_equal(build_sat(counts), sat_by_double_cumsum(counts))
 
 
 class TestCountDots:
@@ -443,3 +450,57 @@ def test_masked_grid_keeps_only_selected_cells():
     sub = grid.masked(mask)
     assert sub.counts.tolist() == [[1, 0], [0, 4]]
     assert sub.total_dots == 5
+
+
+def test_masked_grid_rejects_empty_or_misshapen_mask():
+    grid = DotGrid([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="mask keeps no cell"):
+        grid.masked(np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="mask shape does not match grid"):
+        grid.masked(np.ones((2, 3), dtype=bool))
+
+
+@st.composite
+def masks_off_origin(draw):
+    """A raster, a keep mask whose bounding box starts at x, y >= 1, and
+    that box: one kept cell on each of the box's sides pins it."""
+    width, height = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    counts = np.array(draw(st.lists(st.integers(0, 50), min_size=width * height,
+                                    max_size=width * height))).reshape(height, width)
+    x0, y0 = draw(st.integers(1, width - 1)), draw(st.integers(1, height - 1))
+    w, h = draw(st.integers(1, width - x0)), draw(st.integers(1, height - y0))
+    keep = np.zeros((height, width), dtype=bool)
+    inner = draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))
+    keep[y0:y0 + h, x0:x0 + w] = np.array(inner).reshape(h, w)
+    xs, ys = st.integers(x0, x0 + w - 1), st.integers(y0, y0 + h - 1)
+    for x, y in ((draw(xs), y0), (draw(xs), y0 + h - 1), (x0, draw(ys)), (x0 + w - 1, draw(ys))):
+        keep[y, x] = True
+    return counts, keep, Rect(x0, y0, w, h)
+
+
+@given(masks_off_origin())
+@settings(max_examples=60, deadline=None)
+def test_masked_grid_is_cropped_to_mask_bounding_box(case):
+    counts, keep, box = case
+    sub = DotGrid(counts).masked(keep)
+    kept = np.where(keep, counts, 0)
+    assert sub.bounds() == box
+    assert sub.counts.shape == (box.h, box.w)
+    assert sub.total_dots == kept.sum()
+    x0, y0, w, h = box.as_tuple()
+    for top in range(y0, y0 + h):
+        for bottom in range(top + 1, y0 + h + 1):
+            for left in range(x0, x0 + w):
+                for right in range(left + 1, x0 + w + 1):
+                    assert sub.count_dots(Rect(left, top, right - left, bottom - top)) \
+                        == kept[top:bottom, left:right].sum()
+    # Past each side of the crop, and one cell wholly left and above it.
+    for r in (Rect(x0 - 1, y0, w + 1, h), Rect(x0, y0 - 1, w, h + 1),
+              Rect(x0, y0, w + 1, h), Rect(x0, y0, w, h + 1),
+              Rect(x0 - 1, y0, 1, 1), Rect(x0, y0 - 1, 1, 1)):
+        with pytest.raises(ValueError, match="exceeds grid bounds"):
+            sub.count_dots(r)
+    # Masking a cropped grid again keeps map coordinates.
+    again = sub.masked(keep[y0:y0 + h, x0:x0 + w])
+    assert again.bounds() == box
+    assert np.array_equal(again.counts, sub.counts)

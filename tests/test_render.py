@@ -118,6 +118,18 @@ class TestRenderSvg:
         assert '<path id="state-B"' in svg
         assert 'stroke="blue"' in svg
 
+    def test_state_outlines_in_sorted_label_order(self):
+        # Row-major, C's cells come first and A's last; paths run A, B, C.
+        counts = [[1] * 3 for _ in range(2)]
+        labels = [["C", "B", "B"], ["C", "A", "A"]]
+        s = load_scenario(scenario_text(counts, 1, 100, labels))
+        svg = render_svg(delimit(s), s.grid)
+        assert re.findall(r'id="state-(\w+)" d="([^"]*)"', svg) == [
+            ("A", "M 24 24 L 72 24 L 72 48 L 24 48 Z"),
+            ("B", "M 24 0 L 72 0 L 72 24 L 24 24 Z"),
+            ("C", "M 0 0 L 24 0 L 24 48 L 0 48 Z"),
+        ]
+
     def test_dimension_mismatch_rejected(self):
         s = load_scenario("4 4 10 1000\n" + "1 1 1 1\n" * 4)
         other = load_scenario("2 2 10 1000\n1 1\n1 1\n")
