@@ -108,10 +108,11 @@ def cmd_compare(args) -> int:
     states = [StateRecord(label, scenario.state_population(label))
               for label in scenario.states]
     table = compare_methods(states, args.seats)
+    per_state = result.per_state
     print("state population " + " ".join(METHOD_ORDER) + " quadtree")
     for s in states:
         classical = " ".join(str(table[m].seats[s.label]) for m in METHOD_ORDER)
-        quad = len(result.per_state[s.label])
+        quad = len(per_state[s.label])
         print(f"{s.label} {s.population} {classical} {quad}")
     return 0
 

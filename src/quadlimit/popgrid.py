@@ -21,6 +21,7 @@ connectivity is checked by union-find over row runs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -100,10 +101,7 @@ def build_sat(counts) -> np.ndarray:
     h, w = arr.shape
     sat = np.zeros((h + 1, w + 1), dtype=np.int64)
     np.cumsum(arr, axis=1, out=sat[1:, 1:])
-    # Down the columns one row at a time: a cumsum along axis 0 of a C-ordered
-    # raster strides across rows and is several times slower.
-    for y in range(2, h + 1):
-        np.add(sat[y - 1, 1:], sat[y, 1:], out=sat[y, 1:])
+    np.cumsum(sat[1:, 1:], axis=0, out=sat[1:, 1:])
     return sat
 
 
@@ -233,13 +231,11 @@ class Scenario:
 
     @cached_property
     def _state_dots(self) -> dict[str, int]:
-        """Dot total per state, built on first use: the counts sorted by state
-        code and summed per code in int64, which cannot wrap because the
-        grid total fits."""
-        codes = self.label_codes.ravel()
-        order = np.argsort(codes)
-        starts = np.searchsorted(codes[order], np.arange(len(self._state_names)))
-        sums = np.add.reduceat(self.grid.counts.ravel()[order], starts)
+        """Dot total per state, built on first use by one scatter-add of the
+        counts onto their state codes. The int64 sums are exact: none can
+        exceed the grid total, which fits."""
+        sums = np.zeros(len(self._state_names), dtype=np.int64)
+        np.add.at(sums, self.label_codes.ravel(), self.grid.counts.ravel())
         return dict(zip(self._state_names, sums.tolist()))
 
 
@@ -425,7 +421,8 @@ def load_scenario(text: str) -> Scenario:
                                 line=label_rows[height][0])
         out: list[tuple[str, ...]] = []
         for lineno, line in label_rows:
-            tokens = tuple(line.split())
+            # One string object per distinct label, not one per cell.
+            tokens = tuple(map(sys.intern, line.split()))
             if len(tokens) != width:
                 raise ScenarioError(
                     f"dimension mismatch: expected {width} state labels, "

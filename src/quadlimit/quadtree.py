@@ -80,7 +80,6 @@ class DelimitationResult:
     width: int
     height: int
     stats: TreeStats
-    per_state: dict[str, list[int]] | None = None
     # In-memory only; absent after deserialization.
     trees: dict[str | None, QuadTree] | None = None
     state_labels: tuple[tuple[str, ...], ...] | None = None
@@ -91,6 +90,17 @@ class DelimitationResult:
 
     def by_id(self, cid: int) -> Constituency:
         return self.constituencies[cid - 1]
+
+    @property
+    def per_state(self) -> dict[str, list[int]] | None:
+        """Constituency ids per state label in id order; None when no
+        constituency has a state."""
+        if all(c.state is None for c in self.constituencies):
+            return None
+        out: dict[str, list[int]] = {}
+        for c in self.constituencies:
+            out.setdefault(c.state, []).append(c.id)
+        return out
 
 
 OVER_CAPACITY = "overCapacity"
@@ -190,16 +200,15 @@ def merge_siblings(tree: QuadTree, threshold: int) -> dict[int | None, list[Merg
     edge-connected is merged, and the scan restarts. Merging never crosses
     parents. Keys are parent ids in preorder, ``None`` for a root leaf.
     """
-    if tree.root.is_leaf:
-        return {None: _merge_leaves([tree.root], threshold)}
     out: dict[int | None, list[MergeUnit]] = {}
-    stack = [tree.root]
+    # The root is the one child of a virtual parent with id None.
+    stack: list[tuple[int | None, list[QuadNode]]] = [(None, [tree.root])]
     while stack:
-        node = stack.pop()
-        leaves = [c for c in node.children if c.is_leaf]
+        parent, children = stack.pop()
+        leaves = [c for c in children if c.is_leaf]
         if leaves:
-            out[node.id] = _merge_leaves(leaves, threshold)
-        stack.extend(reversed([c for c in node.children if not c.is_leaf]))
+            out[parent] = _merge_leaves(leaves, threshold)
+        stack.extend((c.id, c.children) for c in reversed(children) if not c.is_leaf)
     return out
 
 
@@ -234,7 +243,6 @@ def delimit(scenario: Scenario) -> DelimitationResult:
 
     constituencies: list[Constituency] = []
     trees: dict[str | None, QuadTree] = {}
-    per_state: dict[str, list[int]] | None = None if codes is None else {}
 
     for code, state in enumerate(scenario.states or [None]):
         # A state's masked grid covers its bounding box, which roots its
@@ -243,13 +251,10 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         trees[state] = tree
         units = [u for ulist in merge_siblings(tree, th).values() for u in ulist]
         units.sort(key=lambda u: u.leaves[0].id)
-        first = len(constituencies) + 1
-        for cid, unit in enumerate(units, start=first):
+        for cid, unit in enumerate(units, start=len(constituencies) + 1):
             constituencies.append(_constituency_from_unit(cid, unit, th, state))
             for leaf in unit.leaves:
                 leaf.constituency = cid
-        if per_state is not None:
-            per_state[state] = list(range(first, len(constituencies) + 1))
 
     all_stats = [t.stats for t in trees.values()]
     stats = TreeStats(
@@ -264,7 +269,6 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         width=grid.width,
         height=grid.height,
         stats=stats,
-        per_state=per_state,
         trees=trees,
         state_labels=scenario.state_labels,
     )
@@ -374,7 +378,8 @@ def result_from_json(text: str) -> DelimitationResult:
         _require(isinstance(entry, dict), "constituency #%d must be an object", i)
         for key in ("id", "population", "flags", "rects"):
             _require(key in entry, "constituency #%d missing key '%s'", i, key)
-        _require(entry["id"] == i, "constituency ids must be sequential, got %s", entry["id"])
+        _require(type(entry["id"]) is int and entry["id"] == i,
+                 "constituency ids must be sequential integers, got %s", entry["id"])
         _require(isinstance(entry["rects"], list), "constituency #%d: 'rects' must be a list", i)
         rects = []
         for quad in entry["rects"]:
@@ -403,8 +408,11 @@ def result_from_json(text: str) -> DelimitationResult:
             flags=frozenset(flags),
             state=entry.get("state"),
         ))
+    _require(type(doc["count"]) is int, "'count' must be an integer")
     _require(doc["count"] == len(constituencies),
              "count %s does not match %d constituencies", doc["count"], len(constituencies))
+    _require(len({c.state is None for c in constituencies}) == 1,
+             "'state' must be given on every constituency or on none")
 
     for key in ("threshold", "peoplePerDot"):
         _require(type(doc[key]) is int and doc[key] >= 1, "'%s' must be a positive integer", key)
@@ -417,11 +425,6 @@ def result_from_json(text: str) -> DelimitationResult:
 
     width = max(r.x0 + r.w for c in constituencies for r in c.shape)
     height = max(r.y0 + r.h for c in constituencies for r in c.shape)
-    per_state: dict[str, list[int]] | None = None
-    if any(c.state is not None for c in constituencies):
-        per_state = {}
-        for c in constituencies:
-            per_state.setdefault(c.state, []).append(c.id)
     return DelimitationResult(
         constituencies=constituencies,
         threshold=doc["threshold"],
@@ -429,5 +432,4 @@ def result_from_json(text: str) -> DelimitationResult:
         width=width,
         height=height,
         stats=TreeStats(stats["nodes"], stats["leaves"], stats["maxDepth"]),
-        per_state=per_state,
     )

@@ -18,9 +18,6 @@ from .quadtree import Constituency, DelimitationResult, paint_cells
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
-# Screen coordinates, y down: right, down, left, up.
-_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
 
 @dataclass(frozen=True)
 class RenderStyle:
@@ -41,65 +38,48 @@ class RenderStyle:
 
 
 def boundary_loops(cells: set[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Chain the outer edges of a cell set into closed vertex loops.
+    """Chain the outer edges of a cell set into closed loops of corner vertices.
 
     Edges are oriented so the interior stays on the right of the walking
-    direction; loops come out clockwise in image coordinates, collinear runs
-    collapsed, ordered by their topmost-leftmost vertex.
+    direction; loops come out clockwise in image coordinates, ordered by and
+    starting at their topmost-leftmost vertex. A loop lists only the vertices
+    where it turns, so a straight run of edges gives its two end corners.
     """
-    # vertex -> outgoing (to-vertex, direction index)
-    outgoing: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-
-    def add(frm, to, d):
-        outgoing.setdefault(frm, []).append((to, d))
-
+    # vertex -> outgoing (to-vertex, direction); directions in screen
+    # coordinates, y down: 0 right, 1 down, 2 left, 3 up.
+    outgoing: defaultdict[tuple[int, int], list] = defaultdict(list)
     for (x, y) in cells:
         if (x, y - 1) not in cells:
-            add((x, y), (x + 1, y), 0)
+            outgoing[(x, y)].append(((x + 1, y), 0))
         if (x + 1, y) not in cells:
-            add((x + 1, y), (x + 1, y + 1), 1)
+            outgoing[(x + 1, y)].append(((x + 1, y + 1), 1))
         if (x, y + 1) not in cells:
-            add((x + 1, y + 1), (x, y + 1), 2)
+            outgoing[(x + 1, y + 1)].append(((x, y + 1), 2))
         if (x - 1, y) not in cells:
-            add((x, y + 1), (x, y), 3)
+            outgoing[(x, y + 1)].append(((x, y), 3))
 
     loops = []
     while outgoing:
-        start = min(outgoing, key=lambda v: (v[1], v[0]))
-        loop = [start]
-        vertex = start
-        incoming = None
+        # The topmost-leftmost vertex is entered going up and left going
+        # right, its only outgoing edge, so it is a corner.
+        start = vertex = min(outgoing, key=lambda v: (v[1], v[0]))
+        incoming = 3
+        loop = []
         while True:
             options = outgoing[vertex]
-            if incoming is None or len(options) == 1:
-                nxt, d = options[0]
-            else:
-                # Pinch vertex: take the sharpest turn toward the interior
-                # (right turn first) to keep each loop simple.
-                nxt, d = min(options, key=lambda o: (o[1] - incoming) % 4 or 4)
+            # Take the sharpest turn toward the interior (right turn first);
+            # at a pinch vertex this keeps each loop simple.
+            nxt, d = min(options, key=lambda o: (o[1] - incoming) % 4 or 4)
             options.remove((nxt, d))
             if not options:
                 del outgoing[vertex]
+            if d != incoming:
+                loop.append(vertex)
             if nxt == start:
                 break
-            loop.append(nxt)
             vertex, incoming = nxt, d
-        loops.append(_collapse_collinear(loop))
+        loops.append(loop)
     return loops
-
-
-def _collapse_collinear(loop: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    def direction(a, b):
-        return ((b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1]))
-
-    out = []
-    n = len(loop)
-    for i, v in enumerate(loop):
-        if direction(loop[i - 1], v) != direction(v, loop[(i + 1) % n]):
-            out.append(v)
-    # Rotate so the topmost-leftmost corner leads.
-    lead = out.index(min(out, key=lambda v: (v[1], v[0])))
-    return out[lead:] + out[:lead]
 
 
 def constituency_cells(c: Constituency) -> set[tuple[int, int]]:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own data paths: sums are
 naive double loops (or, for the summed-area table, the previous
 whole-array cumulative sums), connectivity is cell flood fill, scenario text is read
 token by token, divisor methods are solved globally instead of
-seat-by-seat, and SVG outlines are re-rasterized by point-in-polygon
+seat-by-seat, boundary loops are traced through every unit-edge vertex and
+collapsed afterwards, and SVG outlines are re-rasterized by point-in-polygon
 testing.
 """
 
@@ -445,6 +446,72 @@ def hamilton_rational_oracle(states, house):
     for lab in order[:house - sum(seats.values())]:
         seats[lab] += 1
     return seats
+
+
+# --- boundary tracing --------------------------------------------------------
+
+# The tracer as it was before the walk kept only its corners: every unit-edge
+# vertex is chained, then collinear runs are collapsed in a second pass.
+def boundary_loops_reference(cells: set[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Chain the outer edges of a cell set into closed vertex loops.
+
+    Edges are oriented so the interior stays on the right of the walking
+    direction; loops come out clockwise in image coordinates, collinear runs
+    collapsed, ordered by their topmost-leftmost vertex.
+    """
+    # vertex -> outgoing (to-vertex, direction index)
+    outgoing: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+
+    def add(frm, to, d):
+        outgoing.setdefault(frm, []).append((to, d))
+
+    for (x, y) in cells:
+        if (x, y - 1) not in cells:
+            add((x, y), (x + 1, y), 0)
+        if (x + 1, y) not in cells:
+            add((x + 1, y), (x + 1, y + 1), 1)
+        if (x, y + 1) not in cells:
+            add((x + 1, y + 1), (x, y + 1), 2)
+        if (x - 1, y) not in cells:
+            add((x, y + 1), (x, y), 3)
+
+    loops = []
+    while outgoing:
+        start = min(outgoing, key=lambda v: (v[1], v[0]))
+        loop = [start]
+        vertex = start
+        incoming = None
+        while True:
+            options = outgoing[vertex]
+            if incoming is None or len(options) == 1:
+                nxt, d = options[0]
+            else:
+                # Pinch vertex: take the sharpest turn toward the interior
+                # (right turn first) to keep each loop simple.
+                nxt, d = min(options, key=lambda o: (o[1] - incoming) % 4 or 4)
+            options.remove((nxt, d))
+            if not options:
+                del outgoing[vertex]
+            if nxt == start:
+                break
+            loop.append(nxt)
+            vertex, incoming = nxt, d
+        loops.append(_collapse_collinear(loop))
+    return loops
+
+
+def _collapse_collinear(loop: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    def direction(a, b):
+        return ((b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1]))
+
+    out = []
+    n = len(loop)
+    for i, v in enumerate(loop):
+        if direction(loop[i - 1], v) != direction(v, loop[(i + 1) % n]):
+            out.append(v)
+    # Rotate so the topmost-leftmost corner leads.
+    lead = out.index(min(out, key=lambda v: (v[1], v[0])))
+    return out[lead:] + out[:lead]
 
 
 # --- SVG re-rasterization ----------------------------------------------------

@@ -1,0 +1,84 @@
+"""The public calls that perfbench/run.py makes, replayed on state maps whose
+bounding boxes overlap.
+
+A traced benchmark run rebuilds ``delimit`` from its public steps and
+compares the counts; a change that lives only inside ``delimit`` would make
+the two disagree. These tests make the same calls with the same arguments.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+
+from quadlimit import Rect, RenderStyle, Scenario, boundary_loops, build_tree, delimit, \
+    merge_siblings, render_svg, tree_stats
+from quadlimit.render import constituency_cells
+
+from helpers import random_l_labels, random_scenario, random_staircase_labels
+from oracles import boundary_edge_set, path_edge_set, svg_constituency_paths
+
+LABELLERS = [random_staircase_labels, random_l_labels]
+
+
+def replay_delimit(scenario):
+    """Node, leaf, depth and unit counts from the benchmark's replay steps:
+    masks from ``label_array``, ``masked``, ``build_tree`` rooted at the
+    mask's ``np.nonzero`` bounding box, ``merge_siblings`` and ``tree_stats``."""
+    x, th = scenario.people_per_dot, scenario.threshold
+    labels = scenario.label_array()
+    nodes = leaves = depth = units = 0
+    for state in scenario.states:
+        mask = labels == state
+        grid = scenario.grid.masked(mask)
+        ys, xs = np.nonzero(mask)
+        root = Rect(int(xs.min()), int(ys.min()),
+                    int(xs.max() - xs.min()) + 1, int(ys.max() - ys.min()) + 1)
+        tree = build_tree(grid, x, th, root_rect=root)
+        merged = merge_siblings(tree, th)
+        stats = tree_stats(tree)
+        nodes, leaves = nodes + stats.nodes, leaves + stats.leaves
+        depth = max(depth, stats.max_depth)
+        units += sum(len(u) for u in merged.values())
+    return nodes, leaves, depth, units
+
+
+def scenarios(labeller, seed, n=12):
+    rng = random.Random(seed)
+    return [random_scenario(rng, max_dim=24, min_dim=6, with_states=True, labeller=labeller)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("labeller", LABELLERS)
+def test_replayed_steps_agree_with_delimit(labeller):
+    for s in scenarios(labeller, 91):
+        result = delimit(s)
+        assert replay_delimit(s) == (result.stats.nodes, result.stats.leaves,
+                                     result.stats.max_depth, result.count)
+
+
+@pytest.mark.parametrize("labeller", LABELLERS)
+def test_outline_and_render_calls(labeller):
+    flat = RenderStyle(cell_size_px=1, draw_dots=False)
+    for s in scenarios(labeller, 93, n=6):
+        result = delimit(s)
+        for c in result.constituencies:
+            cells = constituency_cells(c)
+            d = " ".join("M " + " L ".join(f"{x} {y}" for x, y in loop) + " Z"
+                         for loop in boundary_loops(cells))
+            assert path_edge_set(d) == boundary_edge_set(cells)
+        bare = render_svg(dataclasses.replace(result, state_labels=None), s.grid, flat)
+        full = render_svg(result, s.grid, flat)
+        assert 'id="states"' not in bare and 'id="states"' in full
+        assert svg_constituency_paths(bare) == svg_constituency_paths(full)
+
+
+@pytest.mark.parametrize("labeller", LABELLERS)
+def test_scenario_from_state_labels(labeller):
+    for s in scenarios(labeller, 95, n=6):
+        again = Scenario(grid=s.grid, people_per_dot=s.people_per_dot,
+                         threshold=s.threshold, state_labels=s.state_labels)
+        assert again.states == s.states
+        assert np.array_equal(again.label_codes, s.label_codes)
+        assert delimit(again).constituencies == delimit(s).constituencies

@@ -156,7 +156,8 @@ class TestLocateCommand:
         run(["delimit", grid16, "--out", str(out)])
         good = json.loads(out.read_text())
         bad_docs = [dict(good, count=0, constituencies=[])]
-        for edit in ({"rects": 5}, {"flags": 5}, {"flags": "abc"}, {"state": ["A"]}):
+        for edit in ({"rects": 5}, {"flags": 5}, {"flags": "abc"}, {"state": ["A"]},
+                     {"id": True}, {"state": "A"}):
             doc = json.loads(json.dumps(good))
             doc["constituencies"][0].update(edit)
             bad_docs.append(doc)

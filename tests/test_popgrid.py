@@ -185,6 +185,13 @@ class TestLoadScenario:
         assert s.state_labels == (("A", "A"), ("B", "B"))
         assert s.state_population("A") == 500
 
+    def test_label_strings_shared(self):
+        # One string object per distinct label, however many cells carry it.
+        text = ("3 3 1 10\n1 1 1\n1 1 1\n1 1 1\nSTATES\n"
+                "north north east\nnorth north east\nsouth-1 south-1 south-1\n")
+        s = load_scenario(text)
+        assert len({id(lab) for row in s.state_labels for lab in row}) == len(s.states) == 3
+
     def test_disconnected_state_rejected(self):
         text = "3 1 500 1000\n1 1 1\nSTATES\nA B A\n"
         with pytest.raises(ScenarioError, match="not orthogonally connected"):
@@ -403,6 +410,13 @@ class TestStatePopulation:
         for lab in s.states:
             dots = int(s.grid.counts[labels == lab].sum())
             assert s.state_population(lab) == s.people_per_dot * dots
+
+    def test_exact_near_int64_limit(self):
+        big = 2**62 - 1
+        s = Scenario(grid=DotGrid([[big, big], [1, 0]]), people_per_dot=1, threshold=1,
+                     state_labels=(("A", "A"), ("B", "B")))
+        assert s.state_population("A") == 2**63 - 2
+        assert s.state_population("B") == 1
 
     def test_label_array_built_at_most_once(self, monkeypatch):
         s = helpers.random_scenario(random.Random(5), with_states=True)

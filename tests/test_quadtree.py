@@ -504,6 +504,17 @@ class TestSerialization:
                 bad["stats"][key] = value
                 with pytest.raises(ResultFormatError, match=f"'stats.{key}' must be"):
                     result_from_json(json.dumps(bad))
+        with pytest.raises(ResultFormatError, match="'count' must be an integer"):
+            result_from_json(json.dumps(dict(good, count=1.0)))
+        for value in (True, 1.0):
+            bad = json.loads(json.dumps(good))
+            bad["constituencies"][0]["id"] = value
+            with pytest.raises(ResultFormatError, match="sequential integers"):
+                result_from_json(json.dumps(bad))
+        two = result_to_dict(delimit(load_scenario("2 1 1 1\n1 1\nSTATES\nA B\n")))
+        del two["constituencies"][1]["state"]
+        with pytest.raises(ResultFormatError, match="every constituency or on none"):
+            result_from_json(json.dumps(two))
 
     def test_result_is_frozen(self):
         result = delimit(TestDelimitStates().quadrant_scenario())

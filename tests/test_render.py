@@ -2,13 +2,15 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadlimit import RenderStyle, boundary_loops, delimit, load_scenario, \
     render_ascii_grid, render_svg
 
 from helpers import random_scenario, scenario_text
-from oracles import boundary_edge_set, path_edge_set, rasterize_path, \
-    rect_cells, svg_constituency_paths
+from oracles import boundary_edge_set, boundary_loops_reference, path_edge_set, \
+    rasterize_path, rect_cells, svg_constituency_paths
 
 FLAT = RenderStyle(cell_size_px=1, constituency_width=1, state_width=1,
                    dot_radius_px=1, draw_dots=False)
@@ -18,6 +20,17 @@ def l_shaped_scenario():
     # 3x3 split; NW, NE and SW merge into an L, SE stays an over-capacity cell.
     counts = [[1, 0, 1], [0, 0, 0], [1, 0, 9]]
     return load_scenario(scenario_text(counts, 1, 5))
+
+
+@st.composite
+def cell_sets(draw):
+    """Non-empty cell sets in a box of up to 8x8 at a drawn density: dense
+    ones have holes, sparse ones have cells that meet only at a corner."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    density = draw(st.integers(20, 90))
+    rolls = draw(st.lists(st.integers(0, 99), min_size=w * h, max_size=w * h))
+    cells = {(i % w, i // w) for i, roll in enumerate(rolls) if roll < density}
+    return cells or {(0, 0)}
 
 
 class TestBoundaryLoops:
@@ -48,6 +61,16 @@ class TestBoundaryLoops:
                 "M " + " L ".join(f"{x} {y}" for x, y in loop) + " Z"
                 for loop in loops)
             assert path_edge_set(d) == boundary_edge_set(cells)
+
+    @given(cell_sets())
+    @example(rect_cells(0, 0, 3, 3) - {(1, 1)})  # hole
+    @example({(0, 0), (1, 1)})  # pinch
+    @example(rect_cells(0, 0, 3, 2) - {(1, 0), (0, 1)})  # pinch on the top row
+    @example(rect_cells(0, 0, 5, 5) - rect_cells(1, 1, 3, 3) | {(2, 2)})  # island
+    @example(rect_cells(0, 0, 4, 4) - {(1, 1), (2, 2)})  # pinch inside a hole
+    @settings(max_examples=400)
+    def test_matches_trace_then_collapse_oracle(self, cells):
+        assert boundary_loops(cells) == boundary_loops_reference(cells)
 
 
 class TestRenderSvg:
