@@ -239,6 +239,16 @@ class Scenario:
         return dict(zip(self._state_names, sums.tolist()))
 
 
+def encode_labels(labels: tuple[tuple[str, ...], ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Int32 raster of each cell's index into the sorted labels, and those labels."""
+    # A dict keeps labels exact; numpy's fixed-width strings drop trailing NULs.
+    names = tuple(sorted(set().union(*labels)))
+    index = {name: i for i, name in enumerate(names)}
+    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(labels)),
+                        dtype=np.int32, count=len(labels) * len(labels[0]))
+    return codes.reshape(len(labels), -1), names
+
+
 def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]
                      ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Check the label grid's shape and each state's connectivity; return the
@@ -247,12 +257,7 @@ def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]
         raise ScenarioError(
             f"state label grid must be {grid.width}x{grid.height} like the dot grid"
         )
-    # A dict keeps labels exact; numpy's fixed-width strings drop trailing NULs.
-    names = tuple(sorted(set().union(*labels)))
-    index = {name: i for i, name in enumerate(names)}
-    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(labels)),
-                        dtype=np.int32, count=grid.height * grid.width)
-    codes = codes.reshape(grid.height, grid.width)
+    codes, names = encode_labels(labels)
     codes.setflags(write=False)
     _check_connected(codes, names)
     return codes, names

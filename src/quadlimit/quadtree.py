@@ -9,15 +9,16 @@ constituencies.
 
 The tree is held once, as ``QuadNode`` objects with ids in depth-first,
 NW-first preorder; its node, leaf and depth counts are recorded while it
-grows. It doubles as a point-location index: ``delimit`` writes each leaf's
-constituency id into the leaf, so finding the constituency that contains a
-cell walks one root-to-leaf path instead of scanning every constituency.
+grows. Results keep only its leaves, as constituency rects: a linear quadtree
+(Gargantini, CACM 1982) that ``locate`` descends by ``_halves`` from each
+state's root, the rects' bounding box, in memory and after loading alike.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,15 +31,13 @@ class ResultFormatError(ValueError):
 
 @dataclass
 class QuadNode:
-    """One region of the partition; internal nodes carry 4 (or 2) children.
-    ``delimit`` sets a leaf's ``constituency`` to the id it ends up in."""
+    """One region of the partition; internal nodes carry 4 (or 2) children."""
 
     id: int
     rect: Rect
     population: int
     depth: int
     children: list["QuadNode"] | None = None
-    constituency: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -68,9 +67,6 @@ class Constituency:
     flags: frozenset[str]
     state: str | None = None
 
-    def contains(self, cx: int, cy: int) -> bool:
-        return any(r.contains(cx, cy) for r in self.shape)
-
 
 @dataclass(frozen=True)
 class DelimitationResult:
@@ -80,8 +76,6 @@ class DelimitationResult:
     width: int
     height: int
     stats: TreeStats
-    # In-memory only; absent after deserialization.
-    trees: dict[str | None, QuadTree] | None = None
     state_labels: tuple[tuple[str, ...], ...] | None = None
 
     @property
@@ -102,9 +96,35 @@ class DelimitationResult:
             out.setdefault(c.state, []).append(c.id)
         return out
 
+    @cached_property
+    def _rect_index(self) -> dict[str | None, tuple[tuple[int, int, int, int], dict]]:
+        """Per state in id order: the root, the bounding box of its rects, and
+        each rect's constituency (the first, should a document repeat a rect)."""
+        tables: dict[str | None, dict] = {}
+        for c in self.constituencies:
+            table = tables.setdefault(c.state, {})
+            for r in c.shape:
+                table.setdefault(r.as_tuple(), c)
+        index = {}
+        for state, table in tables.items():
+            x0 = min(k[0] for k in table)
+            y0 = min(k[1] for k in table)
+            x1 = max(k[0] + k[2] for k in table)
+            y1 = max(k[1] + k[3] for k in table)
+            index[state] = ((x0, y0, x1 - x0, y1 - y0), table)
+        return index
+
 
 OVER_CAPACITY = "overCapacity"
 ZERO_POPULATION = "zeroPopulation"
+
+
+def _halves(start: int, size: int) -> tuple[tuple[int, int], ...]:
+    """(start, size) of a span's halves, the first the larger; one cell stays whole."""
+    if size == 1:
+        return ((start, 1),)
+    first = (size + 1) // 2
+    return ((start, first), (start + first, size - first))
 
 
 def subdivide(r: Rect) -> list[Rect]:
@@ -112,20 +132,8 @@ def subdivide(r: Rect) -> list[Rect]:
     ceiling halves; one-cell-wide strips split 2-way along their long axis."""
     if r.w == 1 and r.h == 1:
         raise ValueError(f"cannot subdivide 1x1 rect at ({r.x0}, {r.y0})")
-    if r.h == 1:
-        left = (r.w + 1) // 2
-        return [Rect(r.x0, r.y0, left, 1), Rect(r.x0 + left, r.y0, r.w - left, 1)]
-    if r.w == 1:
-        top = (r.h + 1) // 2
-        return [Rect(r.x0, r.y0, 1, top), Rect(r.x0, r.y0 + top, 1, r.h - top)]
-    left = (r.w + 1) // 2
-    top = (r.h + 1) // 2
-    return [
-        Rect(r.x0, r.y0, left, top),
-        Rect(r.x0 + left, r.y0, r.w - left, top),
-        Rect(r.x0, r.y0 + top, left, r.h - top),
-        Rect(r.x0 + left, r.y0 + top, r.w - left, r.h - top),
-    ]
+    xs = _halves(r.x0, r.w)
+    return [Rect(x0, y0, w, h) for y0, h in _halves(r.y0, r.h) for x0, w in xs]
 
 
 def build_tree(grid: DotGrid, people_per_dot: int, threshold: int,
@@ -242,21 +250,18 @@ def delimit(scenario: Scenario) -> DelimitationResult:
     codes = scenario.label_codes
 
     constituencies: list[Constituency] = []
-    trees: dict[str | None, QuadTree] = {}
+    all_stats: list[TreeStats] = []
 
     for code, state in enumerate(scenario.states or [None]):
         # A state's masked grid covers its bounding box, which roots its
         # tree; the grid is dropped once the tree is built.
         tree = build_tree(grid if state is None else grid.masked(codes == code), x, th)
-        trees[state] = tree
+        all_stats.append(tree.stats)
         units = [u for ulist in merge_siblings(tree, th).values() for u in ulist]
         units.sort(key=lambda u: u.leaves[0].id)
         for cid, unit in enumerate(units, start=len(constituencies) + 1):
             constituencies.append(_constituency_from_unit(cid, unit, th, state))
-            for leaf in unit.leaves:
-                leaf.constituency = cid
 
-    all_stats = [t.stats for t in trees.values()]
     stats = TreeStats(
         nodes=sum(s.nodes for s in all_stats),
         leaves=sum(s.leaves for s in all_stats),
@@ -269,35 +274,37 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         width=grid.width,
         height=grid.height,
         stats=stats,
-        trees=trees,
         state_labels=scenario.state_labels,
     )
 
 
-def _check_bounds(result: DelimitationResult, cx: int, cy: int) -> None:
-    if not (0 <= cx < result.width and 0 <= cy < result.height):
-        raise ValueError(
-            f"point ({cx}, {cy}) outside grid {result.width}x{result.height}"
-        )
-
-
 def locate_with_visits(result: DelimitationResult, cx: int, cy: int) -> tuple[Constituency, int]:
     """Find the constituency containing cell (cx, cy); also return the number
-    of tree nodes visited on the way (root and leaf included)."""
-    _check_bounds(result, cx, cy)
-    if result.trees is None:
-        # Deserialized results carry no tree; scan shapes in id order.
-        for c in result.constituencies:
-            if c.contains(cx, cy):
-                return c, len(result.constituencies)
-        raise ValueError(f"no constituency contains ({cx}, {cy})")
-    state = result.state_labels[cy][cx] if result.state_labels is not None else None
-    node = result.trees[state].root
-    visits = 1
-    while not node.is_leaf:
-        node = next(c for c in node.children if c.rect.contains(cx, cy))
-        visits += 1
-    return result.by_id(node.constituency), visits
+    of tree nodes visited on the way (root and leaf included). The first root
+    holding the cell, the cell's state's or else each state's in id order, is
+    descended half by half to the indexed rect holding it."""
+    if not (0 <= cx < result.width and 0 <= cy < result.height):
+        raise ValueError(f"point ({cx}, {cy}) outside grid {result.width}x{result.height}")
+    index = result._rect_index
+    if result.state_labels is None:
+        candidates = index.values()
+    else:
+        state = result.state_labels[cy][cx]
+        candidates = [index[state]] if state in index else []
+    for (x0, y0, w, h), table in candidates:
+        if not (x0 <= cx < x0 + w and y0 <= cy < y0 + h):
+            continue
+        visits = 1
+        while (found := table.get((x0, y0, w, h))) is None:
+            if w == 1 and h == 1:
+                raise ValueError(f"no constituency contains ({cx}, {cy})")
+            # Indexing, not a generator per level, keeps the descent cheap.
+            hx, hy = _halves(x0, w), _halves(y0, h)
+            x0, w = hx[-1] if cx >= hx[-1][0] else hx[0]
+            y0, h = hy[-1] if cy >= hy[-1][0] else hy[0]
+            visits += 1
+        return found, visits
+    raise ValueError(f"no constituency contains ({cx}, {cy})")
 
 
 def locate(result: DelimitationResult, cx: int, cy: int) -> Constituency:
@@ -361,8 +368,8 @@ def _require(cond: bool, message: str, *args) -> None:
 
 
 def result_from_json(text: str) -> DelimitationResult:
-    """Rebuild a result from its JSON form (no tree; locate falls back to a
-    containment scan)."""
+    """Rebuild a result from its JSON form (no state labels: ``locate`` takes
+    the first state root, in id order, that holds the cell)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -13,7 +13,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .popgrid import DotGrid
+from .popgrid import DotGrid, encode_labels
 from .quadtree import Constituency, DelimitationResult, paint_cells
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -59,10 +59,13 @@ def boundary_loops(cells: set[tuple[int, int]]) -> list[list[tuple[int, int]]]:
             outgoing[(x, y + 1)].append(((x, y), 3))
 
     loops = []
+    # Vertices are only ever removed, so the first in this order still left
+    # is the topmost-leftmost one.
+    order = iter(sorted(outgoing, key=lambda v: (v[1], v[0])))
     while outgoing:
         # The topmost-leftmost vertex is entered going up and left going
         # right, its only outgoing edge, so it is a corner.
-        start = vertex = min(outgoing, key=lambda v: (v[1], v[0]))
+        start = vertex = next(v for v in order if v in outgoing)
         incoming = 3
         loop = []
         while True:
@@ -114,17 +117,14 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
 
     if style.draw_dots:
         lines.append('  <g id="dots" fill="black">')
-        for y in range(grid.height):
-            for x in range(grid.width):
-                k = int(grid.counts[y, x])
-                if k == 0:
-                    continue
-                side = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
-                for p in range(k):
-                    cx = (x + (p % side + 0.5) / side) * cell
-                    cy = (y + (p // side + 0.5) / side) * cell
-                    lines.append(f'    <circle cx="{cx:.2f}" cy="{cy:.2f}" '
-                                 f'r="{style.dot_radius_px}"/>')
+        ys, xs = grid.counts.nonzero()
+        for y, x, k in zip(ys.tolist(), xs.tolist(), grid.counts[ys, xs].tolist()):
+            side = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
+            for p in range(k):
+                cx = (x + (p % side + 0.5) / side) * cell
+                cy = (y + (p // side + 0.5) / side) * cell
+                lines.append(f'    <circle cx="{cx:.2f}" cy="{cy:.2f}" '
+                             f'r="{style.dot_radius_px}"/>')
         lines.append("  </g>")
 
     lines.append(f'  <g id="constituencies" fill="none" '
@@ -138,12 +138,11 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
     if result.state_labels is not None:
         lines.append(f'  <g id="states" fill="none" stroke="{style.state_color}" '
                      f'stroke-width="{style.state_width}">')
-        state_cells: defaultdict[str, set[tuple[int, int]]] = defaultdict(set)
-        for y, row in enumerate(result.state_labels):
-            for x, state in enumerate(row):
-                state_cells[state].add((x, y))
-        for state in sorted(state_cells):
-            path = _loops_to_path(boundary_loops(state_cells[state]), cell)
+        # One state's cell set at a time keeps the peak to the largest state.
+        codes, names = encode_labels(result.state_labels)
+        for i, state in enumerate(names):
+            ys, xs = (codes == i).nonzero()
+            path = _loops_to_path(boundary_loops(set(zip(xs.tolist(), ys.tolist()))), cell)
             lines.append(f'    <path id="state-{state}" d="{path}"/>')
         lines.append("  </g>")
 

@@ -115,3 +115,15 @@ def scenario_text(counts, x, th, labels=None) -> str:
         lines.append("STATES")
         lines += [" ".join(row) for row in labels]
     return "\n".join(lines) + "\n"
+
+
+# A result document that ``delimit`` cannot write: (1,0,2,1) is no node of
+# the 3x1 tree, whose root halves into (0,0,2,1) and (2,0,1,1).
+THREE_BY_ONE = {
+    "count": 2, "threshold": 5, "peoplePerDot": 1,
+    "constituencies": [
+        {"id": 1, "population": 1, "flags": [], "rects": [[0, 0, 1, 1]]},
+        {"id": 2, "population": 2, "flags": [], "rects": [[1, 0, 2, 1]]},
+    ],
+    "stats": {"nodes": 3, "leaves": 2, "maxDepth": 1},
+}

@@ -5,8 +5,9 @@ naive double loops (or, for the summed-area table, the previous
 whole-array cumulative sums), connectivity is cell flood fill, scenario text is read
 token by token, divisor methods are solved globally instead of
 seat-by-seat, boundary loops are traced through every unit-edge vertex and
-collapsed afterwards, and SVG outlines are re-rasterized by point-in-polygon
-testing.
+collapsed afterwards, SVG outlines are re-rasterized by point-in-polygon
+testing, and point location walks the explicit trees that the public
+``build_tree`` grows or scans every constituency.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quadlimit import ScenarioError
+from quadlimit import ScenarioError, build_tree
 
 
 # --- naive raster sums -------------------------------------------------------
@@ -199,16 +200,43 @@ def tree_stats_by_traversal(tree):
 
 
 def containment_scan(result, cx, cy):
-    """Lowest-id constituency owning the cell, honouring state masks."""
+    """Lowest-id constituency owning the cell, honouring state masks; on a
+    result without ``state_labels`` (one loaded from JSON), the first
+    constituency in id order whose rects cover the cell."""
     labels = result.state_labels
     for c in result.constituencies:
-        if not c.contains(cx, cy):
+        if not any(r.contains(cx, cy) for r in c.shape):
             continue
         if c.state is not None and labels is not None \
                 and labels[cy][cx] != c.state:
             continue
         return c
     raise AssertionError(f"no constituency contains ({cx}, {cy})")
+
+
+def state_trees(scenario):
+    """Each state's quadtree, keyed by label (None when unlabelled), grown
+    through the public ``masked`` and ``build_tree`` calls."""
+    x, th = scenario.people_per_dot, scenario.threshold
+    if scenario.states is None:
+        return {None: build_tree(scenario.grid, x, th)}
+    return {state: build_tree(scenario.grid.masked(scenario.label_codes == i), x, th)
+            for i, state in enumerate(scenario.states)}
+
+
+def leaf_owners(result):
+    """(state, leaf rect) -> constituency id, read off the shapes."""
+    return {(c.state, r): c.id for c in result.constituencies for r in c.shape}
+
+
+def tree_walk_locate(trees, owners, state, cx, cy):
+    """(constituency id, nodes visited) by walking ``children`` links from
+    the state's root to the leaf holding the cell."""
+    node, visits = trees[state].root, 1
+    while not node.is_leaf:
+        node = next(c for c in node.children if c.rect.contains(cx, cy))
+        visits += 1
+    return owners[(state, node.rect)], visits
 
 
 # --- scenario parsing oracles ------------------------------------------------

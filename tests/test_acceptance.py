@@ -15,8 +15,8 @@ from quadlimit.render import RenderStyle
 
 from helpers import random_scenario, scenario_text
 from oracles import boundary_edge_set, containment_scan, flood_connected, \
-    hamilton_rational_oracle, jefferson_divisor_oracle, naive_rect_sum, \
-    path_edge_set, rasterize_path, svg_constituency_paths, \
+    hamilton_rational_oracle, jefferson_divisor_oracle, leaf_owners, naive_rect_sum, \
+    path_edge_set, rasterize_path, state_trees, svg_constituency_paths, \
     webster_divisor_oracle
 import helpers
 
@@ -79,17 +79,19 @@ def test_criterion_05_deterministic_16x16_scenario():
           f"{seconds * 1e3:.2f} ms")
 
 
-def _constituencies_by_parent(result):
+def _constituencies_by_parent(scenario, result):
     # (state, parent node id or None for a root leaf) -> {id: constituency},
-    # read off each tree's leaves.
+    # read off the leaves of each state's tree, matched to constituencies by
+    # (state, rect).
+    owners = leaf_owners(result)
     groups = {}
-    for state, tree in result.trees.items():
+    for state, tree in state_trees(scenario).items():
         stack = [(None, tree.root)]
         while stack:
             parent, node = stack.pop()
             if node.is_leaf:
-                groups.setdefault((state, parent), {})[node.constituency] = \
-                    result.by_id(node.constituency)
+                cid = owners[(state, node.rect)]
+                groups.setdefault((state, parent), {})[cid] = result.by_id(cid)
             else:
                 stack.extend((node.id, child) for child in node.children)
     return {key: list(group.values()) for key, group in groups.items()}
@@ -134,7 +136,7 @@ def test_criterion_06_property_suite_1000_scenarios():
             assert flood_connected({cell for r in c.shape for cell in r.cells()})
 
         # Merge fixpoint soundness: no same-parent pair may still merge.
-        for (_, _), group in _constituencies_by_parent(result).items():
+        for (_, _), group in _constituencies_by_parent(scenario, result).items():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     a, b = group[i], group[j]

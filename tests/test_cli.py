@@ -6,7 +6,7 @@ import pytest
 from quadlimit import cli, load_scenario, render_svg, result_to_json, delimit
 from quadlimit.render import RenderStyle
 
-from helpers import scenario_text
+from helpers import THREE_BY_ONE, scenario_text
 
 
 @pytest.fixture
@@ -166,6 +166,14 @@ class TestLocateCommand:
             capsys.readouterr()
             assert run(["locate", "--result", str(out), "--point", "0,0"]) == 3
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cell_of_no_tree_node_is_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text(json.dumps(THREE_BY_ONE))
+        assert run(["locate", "--result", str(out), "--point", "0,0"]) == 0
+        assert capsys.readouterr().out == "c1 1\n"
+        assert run(["locate", "--result", str(out), "--point", "1,0"]) == 3
+        assert "no constituency contains (1, 0)" in capsys.readouterr().err
 
     def test_malformed_point_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlimit import DotGrid, QuadNode, QuadTree, Rect, ResultFormatError, \
+from quadlimit import Constituency, DotGrid, QuadNode, QuadTree, Rect, ResultFormatError, \
     Scenario, TreeStats, build_tree, delimit, load_scenario, locate, \
     locate_with_visits, merge_siblings, paint_cells, result_from_json, \
     result_to_json, subdivide, tree_stats
 from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, result_to_dict
 
-from helpers import random_scenario, scenario_text
+from helpers import THREE_BY_ONE, random_l_labels, random_scenario, random_staircase_labels, \
+    scenario_text
 from oracles import containment_scan, enumerate_merge_outcomes, flood_connected, \
-    oracle_delimit, preorder_nodes, rect_cells, tree_stats_by_traversal
+    leaf_owners, oracle_delimit, preorder_nodes, rect_cells, state_trees, \
+    tree_stats_by_traversal, tree_walk_locate
 
 
 def uniform_scenario(n=16, x=100, th=1600):
@@ -373,6 +375,67 @@ class TestLocate:
                 assert c.id == containment_scan(result, cx, cy).id
                 assert visits <= result.stats.max_depth + 1
 
+    @staticmethod
+    def check_every_cell(scenario):
+        """In memory, ids and visits equal the explicit tree walk's; after a
+        JSON round trip, ids equal the first-match scan's."""
+        result = delimit(scenario)
+        loaded = result_from_json(result_to_json(result))
+        trees, owners = state_trees(scenario), leaf_owners(result)
+        labels = scenario.state_labels
+        for cy in range(result.height):
+            for cx in range(result.width):
+                state = labels[cy][cx] if labels is not None else None
+                c, visits = locate_with_visits(result, cx, cy)
+                assert (c.id, visits) == tree_walk_locate(trees, owners, state, cx, cy)
+                assert locate(loaded, cx, cy).id == containment_scan(loaded, cx, cy).id
+
+    @given(st.sampled_from([None, random_staircase_labels, random_l_labels]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_every_cell_matches_tree_walk_and_scan(self, labeller, rng):
+        kwargs = {"with_states": False} if labeller is None \
+            else {"with_states": True, "labeller": labeller}
+        self.check_every_cell(random_scenario(rng, max_dim=16, min_dim=6, **kwargs))
+
+    def test_shared_rect_in_two_states(self):
+        # A's tree has leaf (0,1,1,1) in c1; B's root is the same rect, c3.
+        s = load_scenario(scenario_text([[1, 1], [0, 1]], 1, 2, labels=[["A", "A"], ["B", "A"]]))
+        self.check_every_cell(s)
+        result = delimit(s)
+        assert Rect(0, 1, 1, 1) in result.by_id(1).shape
+        assert result.by_id(3).shape == (Rect(0, 1, 1, 1),)
+        assert locate(result, 0, 1).id == 3
+        assert locate(result_from_json(result_to_json(result)), 0, 1).id == 1
+
+    def test_locate_reads_the_constituencies_it_holds(self):
+        result = delimit(uniform_scenario())
+        whole = Constituency(id=1, shape=(Rect(0, 0, 16, 16),), population=25600,
+                             flags=frozenset())
+        replaced = dataclasses.replace(result, constituencies=[whole])
+        assert locate_with_visits(replaced, 9, 9) == (whole, 1)
+
+    def test_unindexed_cell_is_value_error(self):
+        loaded = result_from_json(json.dumps(THREE_BY_ONE))
+        assert locate_with_visits(loaded, 0, 0) == (loaded.by_id(1), 3)
+        for cx in (1, 2):
+            with pytest.raises(ValueError, match="no constituency contains"):
+                locate(loaded, cx, 0)
+
+    def test_repeated_rect_answers_first_id(self):
+        doc = dict(THREE_BY_ONE, constituencies=[
+            {"id": 1, "population": 1, "flags": [], "rects": [[0, 0, 1, 1]]},
+            {"id": 2, "population": 1, "flags": [], "rects": [[0, 0, 1, 1]]}])
+        loaded = result_from_json(json.dumps(doc))
+        assert locate(loaded, 0, 0).id == containment_scan(loaded, 0, 0).id == 1
+
+    def test_label_without_constituency_is_value_error(self):
+        result = delimit(load_scenario(scenario_text([[1, 1]], 1, 5, labels=[["A", "B"]])))
+        only_a = dataclasses.replace(result, constituencies=result.constituencies[:1])
+        assert locate(only_a, 0, 0).id == 1
+        with pytest.raises(ValueError, match="no constituency contains"):
+            locate(only_a, 1, 0)
+
 
 class TestTreeStats:
     def test_single_leaf(self):
@@ -401,8 +464,9 @@ class TestTreeStats:
             s = random_scenario(rng, max_dim=32)
             result = delimit(s)
             labelled += s.state_labels is not None
-            per_tree = [t.stats for t in result.trees.values()]
-            for tree in result.trees.values():
+            trees = state_trees(s).values()
+            per_tree = [t.stats for t in trees]
+            for tree in trees:
                 assert (tree.stats.nodes, tree.stats.leaves, tree.stats.max_depth) \
                     == tree_stats_by_traversal(tree)
             assert result.stats == TreeStats(
