@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,23 +50,28 @@ class ScenarioError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True, order=True)
-class Rect:
-    """Axis-aligned cell rectangle: columns [x0, x0+w), rows [y0, y0+h)."""
-
+class _RectFields(NamedTuple):
     x0: int
     y0: int
     w: int
     h: int
 
-    def __post_init__(self):
-        if self.w < 1 or self.h < 1:
-            raise ValueError(f"empty rectangle {self.as_tuple()}")
-        if self.x0 < 0 or self.y0 < 0:
-            raise ValueError(f"negative origin in {self.as_tuple()}")
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.x0, self.y0, self.w, self.h)
+class Rect(_RectFields):
+    """Axis-aligned cell rectangle: columns [x0, x0+w), rows [y0, y0+h).
+
+    A validated ``(x0, y0, w, h)`` tuple, so it unpacks, orders and serves as
+    a dict key as that tuple. ``_make`` and ``_replace`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x0: int, y0: int, w: int, h: int):
+        if w < 1 or h < 1:
+            raise ValueError(f"empty rectangle {(x0, y0, w, h)}")
+        if x0 < 0 or y0 < 0:
+            raise ValueError(f"negative origin in {(x0, y0, w, h)}")
+        return tuple.__new__(cls, (x0, y0, w, h))
 
     @property
     def area(self) -> int:
@@ -157,9 +163,7 @@ class DotGrid:
         x0, y0 = r.x0 - self.x0, r.y0 - self.y0
         x1, y1 = x0 + r.w, y0 + r.h
         if x0 < 0 or y0 < 0 or x1 > self.width or y1 > self.height:
-            raise ValueError(
-                f"rect {r.as_tuple()} exceeds grid bounds {self.bounds().as_tuple()}"
-            )
+            raise ValueError(f"rect {tuple(r)} exceeds grid bounds {tuple(self.bounds())}")
         s = self.sat
         return int(s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0])
 

@@ -22,21 +22,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .popgrid import DotGrid, Rect, Scenario
+from .popgrid import DotGrid, Rect, Scenario, encode_labels
 
 
 class ResultFormatError(ValueError):
     """Raised when a serialized result document is malformed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class QuadNode:
     """One region of the partition; internal nodes carry 4 (or 2) children."""
 
     id: int
     rect: Rect
     population: int
-    depth: int
     children: list["QuadNode"] | None = None
 
     @property
@@ -57,7 +56,7 @@ class QuadTree:
     stats: TreeStats  # counted while the tree grows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constituency:
     """Final districting unit: an edge-connected union of disjoint rectangles."""
 
@@ -100,11 +99,13 @@ class DelimitationResult:
     def _rect_index(self) -> dict[str | None, tuple[tuple[int, int, int, int], dict]]:
         """Per state in id order: the root, the bounding box of its rects, and
         each rect's constituency (the first, should a document repeat a rect)."""
-        tables: dict[str | None, dict] = {}
+        tables: dict[str | None, dict[Rect, Constituency]] = {}
         for c in self.constituencies:
-            table = tables.setdefault(c.state, {})
+            table = tables.get(c.state)
+            if table is None:
+                table = tables[c.state] = {}
             for r in c.shape:
-                table.setdefault(r.as_tuple(), c)
+                table.setdefault(r, c)
         index = {}
         for state, table in tables.items():
             x0 = min(k[0] for k in table)
@@ -117,6 +118,13 @@ class DelimitationResult:
 
 OVER_CAPACITY = "overCapacity"
 ZERO_POPULATION = "zeroPopulation"
+# Every constituency shares one of these, keyed by (over capacity, zero population).
+_FLAG_SETS = {
+    (False, False): frozenset(),
+    (True, False): frozenset({OVER_CAPACITY}),
+    (False, True): frozenset({ZERO_POPULATION}),
+    (True, True): frozenset({OVER_CAPACITY, ZERO_POPULATION}),
+}
 
 
 def _halves(start: int, size: int) -> tuple[tuple[int, int], ...]:
@@ -150,8 +158,7 @@ def build_tree(grid: DotGrid, people_per_dot: int, threshold: int,
 
     def grow(r: Rect, depth: int) -> QuadNode:
         nonlocal next_id, leaves, max_depth
-        node = QuadNode(id=next_id, rect=r,
-                        population=people_per_dot * grid.count_dots(r), depth=depth)
+        node = QuadNode(id=next_id, rect=r, population=people_per_dot * grid.count_dots(r))
         next_id += 1
         max_depth = max(max_depth, depth)
         if node.population <= threshold or r.area == 1:
@@ -170,7 +177,7 @@ def tree_stats(tree: QuadTree) -> TreeStats:
     return tree.stats
 
 
-@dataclass
+@dataclass(slots=True)
 class MergeUnit:
     """A leaf or an agglomeration of merged sibling leaves under one parent,
     its leaves in quadrant order."""
@@ -220,23 +227,6 @@ def merge_siblings(tree: QuadTree, threshold: int) -> dict[int | None, list[Merg
     return out
 
 
-def _constituency_from_unit(cid: int, unit: MergeUnit, threshold: int,
-                            state: str | None) -> Constituency:
-    flags = set()
-    if unit.population > threshold:
-        flags.add(OVER_CAPACITY)
-    if unit.population == 0:
-        flags.add(ZERO_POPULATION)
-    return Constituency(
-        id=cid,
-        shape=tuple(sorted((leaf.rect for leaf in unit.leaves),
-                           key=lambda r: (r.y0, r.x0))),
-        population=unit.population,
-        flags=frozenset(flags),
-        state=state,
-    )
-
-
 def delimit(scenario: Scenario) -> DelimitationResult:
     """Partition the scenario grid into constituencies.
 
@@ -260,7 +250,10 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         units = [u for ulist in merge_siblings(tree, th).values() for u in ulist]
         units.sort(key=lambda u: u.leaves[0].id)
         for cid, unit in enumerate(units, start=len(constituencies) + 1):
-            constituencies.append(_constituency_from_unit(cid, unit, th, state))
+            pop = unit.population
+            shape = tuple(sorted((leaf.rect for leaf in unit.leaves), key=lambda r: (r.y0, r.x0)))
+            flags = _FLAG_SETS[pop > th, pop == 0]
+            constituencies.append(Constituency(cid, shape, pop, flags, state))
 
     stats = TreeStats(
         nodes=sum(s.nodes for s in all_stats),
@@ -319,15 +312,17 @@ def paint_cells(result: DelimitationResult) -> np.ndarray:
     (impossible for a valid result) stay 0.
     """
     owner = np.zeros((result.height, result.width), dtype=np.int64)
-    labels = np.array(result.state_labels) if result.state_labels is not None else None
+    if result.state_labels is not None:
+        # Int codes keep labels exact; numpy's fixed-width strings drop trailing NULs.
+        codes, names = encode_labels(result.state_labels)
+        code_of = {name: i for i, name in enumerate(names)}
     for c in result.constituencies:
-        for r in c.shape:
-            block = owner[r.y0:r.y0 + r.h, r.x0:r.x0 + r.w]
-            if labels is None or c.state is None:
+        for x0, y0, w, h in c.shape:
+            block = owner[y0:y0 + h, x0:x0 + w]
+            if result.state_labels is None or c.state is None:
                 block[:] = c.id
             else:
-                sel = labels[r.y0:r.y0 + r.h, r.x0:r.x0 + r.w] == c.state
-                block[sel] = c.id
+                block[codes[y0:y0 + h, x0:x0 + w] == code_of.get(c.state, -1)] = c.id
     return owner
 
 
@@ -341,7 +336,7 @@ def result_to_dict(result: DelimitationResult) -> dict:
             entry["state"] = c.state
         entry["population"] = c.population
         entry["flags"] = sorted(c.flags)
-        entry["rects"] = [[r.x0, r.y0, r.w, r.h] for r in c.shape]
+        entry["rects"] = [list(r) for r in c.shape]
         cons.append(entry)
     return {
         "count": result.count,
@@ -372,7 +367,7 @@ def result_from_json(text: str) -> DelimitationResult:
     the first state root, in id order, that holds the cell)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ResultFormatError(f"invalid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level must be an object")
     for key in ("count", "threshold", "peoplePerDot", "constituencies", "stats"):
@@ -412,7 +407,7 @@ def result_from_json(text: str) -> DelimitationResult:
             id=i,
             shape=tuple(rects),
             population=population,
-            flags=frozenset(flags),
+            flags=_FLAG_SETS[OVER_CAPACITY in flags, ZERO_POPULATION in flags],
             state=entry.get("state"),
         ))
     _require(type(doc["count"]) is int, "'count' must be an integer")

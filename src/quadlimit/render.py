@@ -17,6 +17,8 @@ from .popgrid import DotGrid, encode_labels
 from .quadtree import Constituency, DelimitationResult, paint_cells
 
 SVG_NS = "http://www.w3.org/2000/svg"
+# render_svg writes one <circle> per dot; above this many it refuses to draw them.
+MAX_SVG_DOTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,16 @@ def _loops_to_path(loops: list[list[tuple[int, int]]], scale: int) -> str:
 def render_svg(result: DelimitationResult, grid: DotGrid,
                style: RenderStyle = RenderStyle()) -> str:
     """Standalone SVG map: dots, one outline path per constituency, state
-    boundaries on top. Byte-identical output for identical inputs."""
+    boundaries on top. Byte-identical output for identical inputs. Drawing
+    more than ``MAX_SVG_DOTS`` dots is a ValueError."""
     if (grid.width, grid.height) != (result.width, result.height):
         raise ValueError(
             f"result {result.width}x{result.height} does not match "
             f"grid {grid.width}x{grid.height}"
         )
+    if style.draw_dots and grid.total_dots > MAX_SVG_DOTS:
+        raise ValueError(f"cannot draw {grid.total_dots} dots in an SVG; "
+                         f"the limit is {MAX_SVG_DOTS}")
     cell = style.cell_size_px
     w_px, h_px = grid.width * cell, grid.height * cell
     lines = [

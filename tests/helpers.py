@@ -127,3 +127,10 @@ THREE_BY_ONE = {
     ],
     "stats": {"nodes": 3, "leaves": 2, "maxDepth": 1},
 }
+
+# Nested deeper than ``json.loads`` can recurse: it raises RecursionError.
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+# States "A" and "A\0" (the NUL is part of the token); numpy's fixed-width
+# strings would read both as "A". "A" owns cell (1, 1) only.
+NUL_LABELS_TEXT = "2 2 1 10\n1 1\n1 1\nSTATES\nA\0 A\0\nA\0 A\n"

@@ -194,9 +194,17 @@ def preorder_nodes(tree):
 
 def tree_stats_by_traversal(tree):
     """(nodes, leaves, max depth) counted by a full walk of the tree."""
-    nodes = preorder_nodes(tree)
-    return (len(nodes), sum(n.children is None for n in nodes),
-            max(n.depth for n in nodes))
+    nodes = leaves = max_depth = 0
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        nodes += 1
+        max_depth = max(max_depth, depth)
+        if node.children is None:
+            leaves += 1
+        else:
+            stack.extend((child, depth + 1) for child in node.children)
+    return nodes, leaves, max_depth
 
 
 def containment_scan(result, cx, cy):

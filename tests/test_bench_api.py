@@ -8,6 +8,9 @@ the two disagree. These tests make the same calls with the same arguments.
 
 import dataclasses
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,3 +113,12 @@ def test_loaded_locate_answers(labeller):
                 assert got.id == paint[y, x]
                 other_state += got.state != s.state_labels[y][x]
     assert other_state > 0
+
+
+def test_benchmark_self_test_passes():
+    # One benchmark round on a small version of each workload, its checks on
+    # the true outputs, and their rejection of corrupted ones.
+    bench = Path(__file__).resolve().parent.parent / "perfbench" / "selftest.py"
+    done = subprocess.run([sys.executable, str(bench)], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

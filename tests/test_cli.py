@@ -6,7 +6,7 @@ import pytest
 from quadlimit import cli, load_scenario, render_svg, result_to_json, delimit
 from quadlimit.render import RenderStyle
 
-from helpers import THREE_BY_ONE, scenario_text
+from helpers import DEEP_JSON, THREE_BY_ONE, scenario_text
 
 
 @pytest.fixture
@@ -151,6 +151,12 @@ class TestLocateCommand:
         bad.write_text("{broken")
         assert run(["locate", "--result", str(bad), "--point", "0,0"]) == 3
 
+    def test_deeply_nested_result_is_exit_3(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        assert run(["locate", "--result", str(deep), "--point", "0,0"]) == 3
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
     def test_ill_typed_result_is_exit_3(self, grid16, tmp_path, capsys):
         out = tmp_path / "r.json"
         run(["delimit", grid16, "--out", str(out)])
@@ -228,6 +234,21 @@ class TestRenderCommand:
         # Pinned so that how render attaches the labels cannot change the bytes.
         assert hashlib.sha256(svg.read_bytes()).hexdigest() \
             == "ed44f09eb9620ffccee6959847221134c182d9d7cefd8ac473144b5e9086c6c2"
+
+    def test_deeply_nested_result_is_exit_3(self, grid16, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        assert run(["render", grid16, "--result", str(deep),
+                    "--out", str(tmp_path / "x.svg")]) == 3
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+    def test_too_many_dots_is_exit_3(self, tmp_path, capsys):
+        scen = tmp_path / "dense.txt"
+        scen.write_text(f"1 1 1 {2**25}\n{2**24 + 1}\n")
+        svg = tmp_path / "map.svg"
+        assert run(["delimit", str(scen), "--svg", str(svg)]) == 3
+        assert str(2**24 + 1) in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_dimension_mismatch_is_exit_3(self, grid16, tmp_path, capsys):
         small = tmp_path / "small.txt"

@@ -501,7 +501,7 @@ def test_masked_grid_is_cropped_to_mask_bounding_box(case):
     assert sub.bounds() == box
     assert sub.counts.shape == (box.h, box.w)
     assert sub.total_dots == kept.sum()
-    x0, y0, w, h = box.as_tuple()
+    x0, y0, w, h = box
     for top in range(y0, y0 + h):
         for bottom in range(top + 1, y0 + h + 1):
             for left in range(x0, x0 + w):

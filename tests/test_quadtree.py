@@ -12,8 +12,8 @@ from quadlimit import Constituency, DotGrid, QuadNode, QuadTree, Rect, ResultFor
     result_to_json, subdivide, tree_stats
 from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, result_to_dict
 
-from helpers import THREE_BY_ONE, random_l_labels, random_scenario, random_staircase_labels, \
-    scenario_text
+from helpers import DEEP_JSON, NUL_LABELS_TEXT, THREE_BY_ONE, random_l_labels, \
+    random_scenario, random_staircase_labels, scenario_text
 from oracles import containment_scan, enumerate_merge_outcomes, flood_connected, \
     leaf_owners, oracle_delimit, preorder_nodes, rect_cells, state_trees, \
     tree_stats_by_traversal, tree_walk_locate
@@ -29,19 +29,19 @@ def cells_of(constituency):
 
 class TestSubdivide:
     def test_even_16x16(self):
-        assert [r.as_tuple() for r in subdivide(Rect(0, 0, 16, 16))] == [
+        assert subdivide(Rect(0, 0, 16, 16)) == [
             (0, 0, 8, 8), (8, 0, 8, 8), (0, 8, 8, 8), (8, 8, 8, 8)]
 
     def test_odd_5x3_ceiling_to_top_left(self):
-        assert [r.as_tuple() for r in subdivide(Rect(0, 0, 5, 3))] == [
+        assert subdivide(Rect(0, 0, 5, 3)) == [
             (0, 0, 3, 2), (3, 0, 2, 2), (0, 2, 3, 1), (3, 2, 2, 1)]
 
     def test_vertical_strip_two_way(self):
-        assert [r.as_tuple() for r in subdivide(Rect(4, 0, 1, 6))] == [
+        assert subdivide(Rect(4, 0, 1, 6)) == [
             (4, 0, 1, 3), (4, 3, 1, 3)]
 
     def test_horizontal_strip_two_way(self):
-        assert [r.as_tuple() for r in subdivide(Rect(0, 2, 5, 1))] == [
+        assert subdivide(Rect(0, 2, 5, 1)) == [
             (0, 2, 3, 1), (3, 2, 2, 1)]
 
     def test_unit_rect_unsplittable(self):
@@ -58,7 +58,7 @@ class TestSubdivide:
         assert len(parts) == (2 if (w == 1 or h == 1) else 4)
         seen = set()
         for p in parts:
-            cells = rect_cells(*p.as_tuple())
+            cells = rect_cells(*p)
             assert not (seen & cells)
             seen |= cells
         assert seen == rect_cells(x0, y0, w, h)
@@ -146,9 +146,9 @@ class TestBuildTree:
 
 
 def make_parent_with_leaves(pops, rect=Rect(0, 0, 2, 2)):
-    root = QuadNode(id=0, rect=rect, population=sum(pops), depth=0)
+    root = QuadNode(id=0, rect=rect, population=sum(pops))
     quads = subdivide(rect)
-    root.children = [QuadNode(id=i + 1, rect=q, population=p, depth=1)
+    root.children = [QuadNode(id=i + 1, rect=q, population=p)
                      for i, (q, p) in enumerate(zip(quads, pops))]
     return QuadTree(root=root, stats=TreeStats(1 + len(pops), len(pops), 1))
 
@@ -161,7 +161,7 @@ class TestMergeSiblings:
     def test_first_fit_merges_nw_ne_only(self):
         # Expected outcome established by enumerating every merge order.
         tree = make_parent_with_leaves([300, 300, 900, 900])
-        leaf_children = [(i, rect_cells(*tree.root.children[i].rect.as_tuple()), p)
+        leaf_children = [(i, rect_cells(*tree.root.children[i].rect), p)
                          for i, p in enumerate([300, 300, 900, 900])]
         outcomes = enumerate_merge_outcomes(leaf_children, 1000)
         expected = frozenset({(frozenset({0, 1}), 600),
@@ -200,7 +200,7 @@ class TestMergeSiblings:
         assert len(units) == 4
 
     def test_root_leaf_has_no_partner(self):
-        root = QuadNode(id=0, rect=Rect(0, 0, 3, 3), population=5, depth=0)
+        root = QuadNode(id=0, rect=Rect(0, 0, 3, 3), population=5)
         tree = QuadTree(root=root, stats=TreeStats(1, 1, 0))
         units = merge_siblings(tree, 100)[None]
         assert len(units) == 1 and units[0].population == 5
@@ -250,7 +250,7 @@ class TestDelimit:
     def test_ids_sequential_in_depth_first_order(self):
         result = delimit(uniform_scenario())
         assert [c.id for c in result.constituencies] == list(range(1, 17))
-        assert result.constituencies[0].shape[0].as_tuple() == (0, 0, 4, 4)
+        assert result.constituencies[0].shape[0] == (0, 0, 4, 4)
         assert locate(result, 0, 0).id == 1
 
     def test_population_conserved(self):
@@ -338,6 +338,16 @@ class TestDelimitStates:
         a_total = sum(result.by_id(i).population for i in result.per_state["A"])
         b_total = sum(result.by_id(i).population for i in result.per_state["B"])
         assert (a_total, b_total) == (7, 8)
+
+    def test_paint_matches_locate_when_labels_differ_by_trailing_nul(self):
+        result = delimit(load_scenario(NUL_LABELS_TEXT))
+        assert [(c.id, c.state, c.shape) for c in result.constituencies] == [
+            (1, "A", ((1, 1, 1, 1),)), (2, "A\0", ((0, 0, 2, 2),))]
+        owner = paint_cells(result)
+        for y in range(2):
+            for x in range(2):
+                assert owner[y, x] == locate(result, x, y).id
+        assert owner.tolist() == [[2, 2], [2, 1]]
 
     def test_random_state_scenarios_conserve_population(self):
         rng = random.Random(14)
@@ -579,6 +589,10 @@ class TestSerialization:
         del two["constituencies"][1]["state"]
         with pytest.raises(ResultFormatError, match="every constituency or on none"):
             result_from_json(json.dumps(two))
+
+    def test_deeply_nested_json_is_format_error(self):
+        with pytest.raises(ResultFormatError, match="invalid JSON"):
+            result_from_json(DEEP_JSON)
 
     def test_result_is_frozen(self):
         result = delimit(TestDelimitStates().quadrant_scenario())

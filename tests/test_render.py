@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadlimit import RenderStyle, boundary_loops, delimit, load_scenario, \
-    render_ascii_grid, render_svg
+from quadlimit import DotGrid, RenderStyle, Scenario, boundary_loops, delimit, \
+    load_scenario, render, render_ascii_grid, render_svg
 
-from helpers import random_scenario, scenario_text
+from helpers import NUL_LABELS_TEXT, random_scenario, scenario_text
 from oracles import boundary_edge_set, boundary_loops_reference, path_edge_set, \
     rasterize_path, rect_cells, svg_constituency_paths
 
@@ -165,6 +165,23 @@ class TestRenderSvg:
             ("C", "M 0 0 L 24 0 L 24 48 L 0 48 Z"),
         ]
 
+    def test_dot_limit(self, monkeypatch):
+        dense = DotGrid([[2**24 + 1]])
+        result = delimit(Scenario(grid=dense, people_per_dot=1, threshold=2**25))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{2**24 + 1} dots .* limit is {2**24}"):
+            render_svg(result, dense)
+        assert time.perf_counter() - start < 1
+        assert 'id="dots"' not in render_svg(result, dense, RenderStyle(draw_dots=False))
+        # At the limit the SVG is drawn as before; one dot more is refused.
+        s = load_scenario("2 1 10 1000\n1 4\n")
+        svg = render_svg(delimit(s), s.grid)
+        monkeypatch.setattr(render, "MAX_SVG_DOTS", 5)
+        assert render_svg(delimit(s), s.grid) == svg
+        monkeypatch.setattr(render, "MAX_SVG_DOTS", 4)
+        with pytest.raises(ValueError, match="cannot draw 5 dots"):
+            render_svg(delimit(s), s.grid)
+
     def test_dimension_mismatch_rejected(self):
         s = load_scenario("4 4 10 1000\n" + "1 1 1 1\n" * 4)
         other = load_scenario("2 2 10 1000\n1 1\n1 1\n")
@@ -213,6 +230,10 @@ class TestRenderAscii:
                 for dy in range(4):
                     for dx in range(4):
                         assert rows[by * 4 + dy][bx * 4 + dx] == token
+
+    def test_labels_differing_by_trailing_nul(self):
+        # "A" owns cell (1, 1) only; "A\0" owns the rest.
+        assert render_ascii_grid(delimit(load_scenario(NUL_LABELS_TEXT))) == "2 2\n2 1\n"
 
     def test_merged_cells_share_token(self):
         s = l_shaped_scenario()
