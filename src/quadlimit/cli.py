@@ -70,10 +70,12 @@ def _resolve_populations(spec: str) -> list[StateRecord]:
 def cmd_delimit(args) -> int:
     scenario = _load_scenario(args)
     result = delimit(scenario)
+    # The SVG is built first: if it is refused, neither file is written.
+    svg = args.svg and render_svg(result, scenario.grid, RenderStyle())
     if args.out:
         _write(args.out, result_to_json(result))
     if args.svg:
-        _write(args.svg, render_svg(result, scenario.grid, RenderStyle()))
+        _write(args.svg, svg)
     print(f"constituencies: {result.count}")
     return 0
 

@@ -328,43 +328,70 @@ def paint_cells(result: DelimitationResult) -> np.ndarray:
 
 # --- serialization -----------------------------------------------------------
 
-def result_to_dict(result: DelimitationResult) -> dict:
-    cons = []
-    for c in result.constituencies:
-        entry: dict = {"id": c.id}
-        if c.state is not None:
-            entry["state"] = c.state
-        entry["population"] = c.population
-        entry["flags"] = sorted(c.flags)
-        entry["rects"] = [list(r) for r in c.shape]
-        cons.append(entry)
-    return {
-        "count": result.count,
-        "threshold": result.threshold,
-        "peoplePerDot": result.people_per_dot,
-        "constituencies": cons,
-        "stats": {
-            "nodes": result.stats.nodes,
-            "leaves": result.stats.leaves,
-            "maxDepth": result.stats.max_depth,
-        },
-    }
+# The document's fixed layout, as ``json.dumps(..., indent=2)`` lays it out; each flag
+# set's list is rendered once, and documents' flag lists map straight back to the sets.
+_DOC = ('{\n  "count": %d,\n  "threshold": %d,\n  "peoplePerDot": %d,\n  "constituencies": [\n%s'
+        '\n  ],\n  "stats": {\n    "nodes": %d,\n    "leaves": %d,\n    "maxDepth": %d\n  }\n}\n')
+_ENTRY = ('    {\n      "id": %d,\n%s      "population": %d,\n      "flags": %s,\n'
+          '      "rects": [\n%s\n      ]\n    }')
+_RECT = "        [\n          %d,\n          %d,\n          %d,\n          %d\n        ]"
+_FLAGS_TEXT = {fs: json.dumps(sorted(fs), indent=2).replace("\n", "\n      ")
+               for fs in _FLAG_SETS.values()}
+_FLAGS_OF = {tuple(f): fs for fs in _FLAG_SETS.values() for f in (sorted(fs), sorted(fs)[::-1])}
 
 
 def result_to_json(result: DelimitationResult) -> str:
-    return json.dumps(result_to_dict(result), indent=2) + "\n"
+    """The result document, byte for byte ``json.dumps(..., indent=2)`` of its
+    dict form (ASCII escapes in state labels) and a newline."""
+    entries = []
+    for c in result.constituencies:
+        state = "" if c.state is None else '      "state": %s,\n' % json.dumps(c.state)
+        entries.append(_ENTRY % (c.id, state, c.population, _FLAGS_TEXT[c.flags],
+                                 ",\n".join([_RECT % r for r in c.shape])))
+    s = result.stats
+    return _DOC % (result.count, result.threshold, result.people_per_dot,
+                   ",\n".join(entries), s.nodes, s.leaves, s.max_depth)
 
 
 def _require(cond: bool, message: str, *args) -> None:
-    # The message is formatted only on failure: loading runs these checks
-    # for every constituency and rect.
     if not cond:
         raise ResultFormatError(message % args)
 
 
+def _checked_flags(entry, i: int) -> frozenset[str]:
+    """Check constituency #i rule by rule, raising at the first that fails; give its flags."""
+    _require(isinstance(entry, dict), "constituency #%d must be an object", i)
+    for key in ("id", "population", "flags", "rects"):
+        _require(key in entry, "constituency #%d missing key '%s'", i, key)
+    _require(type(entry["id"]) is int and entry["id"] == i,
+             "constituency ids must be sequential integers, got %s", entry["id"])
+    _require(isinstance(entry["rects"], list), "constituency #%d: 'rects' must be a list", i)
+    for quad in entry["rects"]:
+        # type() rather than isinstance(): JSON true/false load as bools.
+        _require(isinstance(quad, list) and len(quad) == 4
+                 and all(type(v) is int for v in quad),
+                 "constituency #%d: rects must be [x0, y0, w, h] integers", i)
+        try:
+            Rect(*quad)
+        except ValueError as exc:
+            raise ResultFormatError(f"constituency #{i}: {exc}") from None
+    _require(len(entry["rects"]) >= 1, "constituency #%d has no rects", i)
+    population, flags = entry["population"], entry["flags"]
+    _require(type(population) is int and population >= 0,
+             "constituency #%d: population must be a non-negative integer", i)
+    _require(isinstance(flags, list)
+             and all(f in (OVER_CAPACITY, ZERO_POPULATION) for f in flags),
+             "constituency #%d: flags must be a list of '%s' and '%s'",
+             i, OVER_CAPACITY, ZERO_POPULATION)
+    _require(isinstance(entry.get("state", ""), str),
+             "constituency #%d: state must be a string", i)
+    return _FLAG_SETS[OVER_CAPACITY in flags, ZERO_POPULATION in flags]
+
+
 def result_from_json(text: str) -> DelimitationResult:
     """Rebuild a result from its JSON form (no state labels: ``locate`` takes
-    the first state root, in id order, that holds the cell)."""
+    the first state root, in id order, that holds the cell). An entry that fails
+    one combined check goes through ``_checked_flags``, for its message."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -376,40 +403,27 @@ def result_from_json(text: str) -> DelimitationResult:
     _require(len(doc["constituencies"]) >= 1, "'constituencies' must not be empty")
 
     constituencies: list[Constituency] = []
+    width = height = 0
     for i, entry in enumerate(doc["constituencies"], start=1):
-        _require(isinstance(entry, dict), "constituency #%d must be an object", i)
-        for key in ("id", "population", "flags", "rects"):
-            _require(key in entry, "constituency #%d missing key '%s'", i, key)
-        _require(type(entry["id"]) is int and entry["id"] == i,
-                 "constituency ids must be sequential integers, got %s", entry["id"])
-        _require(isinstance(entry["rects"], list), "constituency #%d: 'rects' must be a list", i)
-        rects = []
-        for quad in entry["rects"]:
-            # type() rather than isinstance(): JSON true/false load as bools.
-            _require(isinstance(quad, list) and len(quad) == 4
-                     and all(type(v) is int for v in quad),
-                     "constituency #%d: rects must be [x0, y0, w, h] integers", i)
-            try:
-                rects.append(Rect(*quad))
-            except ValueError as exc:
-                raise ResultFormatError(f"constituency #{i}: {exc}") from None
-        _require(len(rects) >= 1, "constituency #%d has no rects", i)
-        population, flags = entry["population"], entry["flags"]
-        _require(type(population) is int and population >= 0,
-                 "constituency #%d: population must be a non-negative integer", i)
-        _require(isinstance(flags, list)
-                 and all(f in (OVER_CAPACITY, ZERO_POPULATION) for f in flags),
-                 "constituency #%d: flags must be a list of '%s' and '%s'",
-                 i, OVER_CAPACITY, ZERO_POPULATION)
-        _require(isinstance(entry.get("state", ""), str),
-                 "constituency #%d: state must be a string", i)
-        constituencies.append(Constituency(
-            id=i,
-            shape=tuple(rects),
-            population=population,
-            flags=_FLAG_SETS[OVER_CAPACITY in flags, ZERO_POPULATION in flags],
-            state=entry.get("state"),
-        ))
+        try:
+            quads, population, flags = entry["rects"], entry["population"], entry["flags"]
+            if not (type(entry["id"]) is int and entry["id"] == i and type(quads) is list and quads
+                    and type(population) is int and population >= 0 and type(flags) is list
+                    and type(entry.get("state", "")) is str):
+                raise ValueError
+            shape = []
+            for quad in quads:
+                x0, y0, w, h = quad
+                if not (type(x0) is type(y0) is type(w) is type(h) is int
+                        and x0 >= 0 and y0 >= 0 and w >= 1 and h >= 1):
+                    raise ValueError
+                shape.append(tuple.__new__(Rect, quad))
+                width, height = max(width, x0 + w), max(height, y0 + h)
+            flags = _FLAGS_OF[tuple(flags)]
+        except (KeyError, TypeError, ValueError):
+            # Raises for all but a valid entry that repeats a flag, whose shape is built.
+            flags = _checked_flags(entry, i)
+        constituencies.append(Constituency(i, tuple(shape), population, flags, entry.get("state")))
     _require(type(doc["count"]) is int, "'count' must be an integer")
     _require(doc["count"] == len(constituencies),
              "count %s does not match %d constituencies", doc["count"], len(constituencies))
@@ -425,13 +439,5 @@ def result_from_json(text: str) -> DelimitationResult:
         _require(type(stats[key]) is int and stats[key] >= 0,
                  "'stats.%s' must be a non-negative integer", key)
 
-    width = max(r.x0 + r.w for c in constituencies for r in c.shape)
-    height = max(r.y0 + r.h for c in constituencies for r in c.shape)
-    return DelimitationResult(
-        constituencies=constituencies,
-        threshold=doc["threshold"],
-        people_per_dot=doc["peoplePerDot"],
-        width=width,
-        height=height,
-        stats=TreeStats(stats["nodes"], stats["leaves"], stats["maxDepth"]),
-    )
+    return DelimitationResult(constituencies, doc["threshold"], doc["peoplePerDot"], width, height,
+                              TreeStats(stats["nodes"], stats["leaves"], stats["maxDepth"]))

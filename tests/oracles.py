@@ -6,12 +6,14 @@ whole-array cumulative sums), connectivity is cell flood fill, scenario text is 
 token by token, divisor methods are solved globally instead of
 seat-by-seat, boundary loops are traced through every unit-edge vertex and
 collapsed afterwards, SVG outlines are re-rasterized by point-in-polygon
-testing, and point location walks the explicit trees that the public
-``build_tree`` grows or scans every constituency.
+testing, point location walks the explicit trees that the public
+``build_tree`` grows or scans every constituency, and result documents are
+``json.dumps`` of a dict, read back by running every check in turn.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import deque
@@ -21,7 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quadlimit import ScenarioError, build_tree
+from quadlimit import Constituency, DelimitationResult, Rect, ResultFormatError, \
+    ScenarioError, TreeStats, build_tree
+from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION
 
 
 # --- naive raster sums -------------------------------------------------------
@@ -645,3 +649,109 @@ def path_edge_set(d: str) -> set[frozenset]:
 
 def ceil_sqrt(k: int) -> int:
     return math.isqrt(k - 1) + 1 if k > 0 else 0
+
+
+# --- result documents --------------------------------------------------------
+
+def result_to_dict(result) -> dict:
+    """The result document as a dict; ``json.dumps(..., indent=2)`` of it is
+    what ``result_to_json`` writes."""
+    cons = []
+    for c in result.constituencies:
+        entry: dict = {"id": c.id}
+        if c.state is not None:
+            entry["state"] = c.state
+        entry["population"] = c.population
+        entry["flags"] = sorted(c.flags)
+        entry["rects"] = [list(r) for r in c.shape]
+        cons.append(entry)
+    return {
+        "count": result.count,
+        "threshold": result.threshold,
+        "peoplePerDot": result.people_per_dot,
+        "constituencies": cons,
+        "stats": {
+            "nodes": result.stats.nodes,
+            "leaves": result.stats.leaves,
+            "maxDepth": result.stats.max_depth,
+        },
+    }
+
+
+def _require(cond: bool, message: str, *args) -> None:
+    if not cond:
+        raise ResultFormatError(message % args)
+
+
+def result_from_json_reference(text: str) -> DelimitationResult:
+    """``result_from_json`` as a chain of checks run on every entry and rect,
+    in the order that decides which message a malformed document gets."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ResultFormatError(f"invalid JSON: {exc}") from None
+    _require(isinstance(doc, dict), "top level must be an object")
+    for key in ("count", "threshold", "peoplePerDot", "constituencies", "stats"):
+        _require(key in doc, "missing key '%s'", key)
+    _require(isinstance(doc["constituencies"], list), "'constituencies' must be a list")
+    _require(len(doc["constituencies"]) >= 1, "'constituencies' must not be empty")
+
+    constituencies: list[Constituency] = []
+    for i, entry in enumerate(doc["constituencies"], start=1):
+        _require(isinstance(entry, dict), "constituency #%d must be an object", i)
+        for key in ("id", "population", "flags", "rects"):
+            _require(key in entry, "constituency #%d missing key '%s'", i, key)
+        _require(type(entry["id"]) is int and entry["id"] == i,
+                 "constituency ids must be sequential integers, got %s", entry["id"])
+        _require(isinstance(entry["rects"], list), "constituency #%d: 'rects' must be a list", i)
+        rects = []
+        for quad in entry["rects"]:
+            _require(isinstance(quad, list) and len(quad) == 4
+                     and all(type(v) is int for v in quad),
+                     "constituency #%d: rects must be [x0, y0, w, h] integers", i)
+            try:
+                rects.append(Rect(*quad))
+            except ValueError as exc:
+                raise ResultFormatError(f"constituency #{i}: {exc}") from None
+        _require(len(rects) >= 1, "constituency #%d has no rects", i)
+        population, flags = entry["population"], entry["flags"]
+        _require(type(population) is int and population >= 0,
+                 "constituency #%d: population must be a non-negative integer", i)
+        _require(isinstance(flags, list)
+                 and all(f in (OVER_CAPACITY, ZERO_POPULATION) for f in flags),
+                 "constituency #%d: flags must be a list of '%s' and '%s'",
+                 i, OVER_CAPACITY, ZERO_POPULATION)
+        _require(isinstance(entry.get("state", ""), str),
+                 "constituency #%d: state must be a string", i)
+        constituencies.append(Constituency(
+            id=i,
+            shape=tuple(rects),
+            population=population,
+            flags=frozenset(f for f in (OVER_CAPACITY, ZERO_POPULATION) if f in flags),
+            state=entry.get("state"),
+        ))
+    _require(type(doc["count"]) is int, "'count' must be an integer")
+    _require(doc["count"] == len(constituencies),
+             "count %s does not match %d constituencies", doc["count"], len(constituencies))
+    _require(len({c.state is None for c in constituencies}) == 1,
+             "'state' must be given on every constituency or on none")
+
+    for key in ("threshold", "peoplePerDot"):
+        _require(type(doc[key]) is int and doc[key] >= 1, "'%s' must be a positive integer", key)
+    stats = doc["stats"]
+    _require(isinstance(stats, dict) and all(k in stats for k in ("nodes", "leaves", "maxDepth")),
+             "'stats' must carry nodes, leaves, maxDepth")
+    for key in ("nodes", "leaves", "maxDepth"):
+        _require(type(stats[key]) is int and stats[key] >= 0,
+                 "'stats.%s' must be a non-negative integer", key)
+
+    width = max(r.x0 + r.w for c in constituencies for r in c.shape)
+    height = max(r.y0 + r.h for c in constituencies for r in c.shape)
+    return DelimitationResult(
+        constituencies=constituencies,
+        threshold=doc["threshold"],
+        people_per_dot=doc["peoplePerDot"],
+        width=width,
+        height=height,
+        stats=TreeStats(stats["nodes"], stats["leaves"], stats["maxDepth"]),
+    )

@@ -250,6 +250,14 @@ class TestRenderCommand:
         assert str(2**24 + 1) in capsys.readouterr().err
         assert not svg.exists()
 
+    def test_refused_svg_writes_no_result(self, tmp_path, capsys):
+        scen = tmp_path / "dense.txt"
+        scen.write_text(f"1 1 1 {2**25}\n{2**24 + 1}\n")
+        out, svg = tmp_path / "r.json", tmp_path / "map.svg"
+        assert run(["delimit", str(scen), "--out", str(out), "--svg", str(svg)]) == 3
+        assert str(2**24 + 1) in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
+
     def test_dimension_mismatch_is_exit_3(self, grid16, tmp_path, capsys):
         small = tmp_path / "small.txt"
         small.write_text("2 2 10 100\n1 1\n1 1\n")

@@ -10,12 +10,12 @@ from quadlimit import Constituency, DotGrid, QuadNode, QuadTree, Rect, ResultFor
     Scenario, TreeStats, build_tree, delimit, load_scenario, locate, \
     locate_with_visits, merge_siblings, paint_cells, result_from_json, \
     result_to_json, subdivide, tree_stats
-from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, result_to_dict
+from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION
 
 from helpers import DEEP_JSON, NUL_LABELS_TEXT, THREE_BY_ONE, random_l_labels, \
     random_scenario, random_staircase_labels, scenario_text
 from oracles import containment_scan, enumerate_merge_outcomes, flood_connected, \
-    leaf_owners, oracle_delimit, preorder_nodes, rect_cells, state_trees, \
+    leaf_owners, oracle_delimit, preorder_nodes, rect_cells, result_to_dict, state_trees, \
     tree_stats_by_traversal, tree_walk_locate
 
 
@@ -585,6 +585,16 @@ class TestSerialization:
             bad["constituencies"][0]["id"] = value
             with pytest.raises(ResultFormatError, match="sequential integers"):
                 result_from_json(json.dumps(bad))
+        for quads, message in [([[0, 0, 1]], "integers"), ([[0, 0, 1, 1, 1]], "integers"),
+                               ([[-1, 0, 1, 1]], "negative origin"), ([], "has no rects")]:
+            bad = json.loads(json.dumps(good))
+            bad["constituencies"][0]["rects"] = quads
+            with pytest.raises(ResultFormatError, match=message):
+                result_from_json(json.dumps(bad))
+        # A repeated flag is not a fault: it loads as the one flag.
+        bad = json.loads(json.dumps(good))
+        bad["constituencies"][0]["flags"] = [OVER_CAPACITY, OVER_CAPACITY]
+        assert result_from_json(json.dumps(bad)).by_id(1).flags == {OVER_CAPACITY}
         two = result_to_dict(delimit(load_scenario("2 1 1 1\n1 1\nSTATES\nA B\n")))
         del two["constituencies"][1]["state"]
         with pytest.raises(ResultFormatError, match="every constituency or on none"):
