@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .apportion import METHOD_ORDER, METHODS, StateRecord, compare_methods, \
@@ -75,7 +76,13 @@ def cmd_delimit(args) -> int:
     if args.out:
         _write(args.out, result_to_json(result))
     if args.svg:
-        _write(args.svg, svg)
+        try:
+            _write(args.svg, svg)
+        except OSError:
+            # Nor is the result left behind when the map cannot be written.
+            if args.out:
+                os.remove(args.out)
+            raise
     print(f"constituencies: {result.count}")
     return 0
 

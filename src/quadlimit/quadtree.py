@@ -329,7 +329,7 @@ def paint_cells(result: DelimitationResult) -> np.ndarray:
 # --- serialization -----------------------------------------------------------
 
 # The document's fixed layout, as ``json.dumps(..., indent=2)`` lays it out; each flag
-# set's list is rendered once, and documents' flag lists map straight back to the sets.
+# set's list is rendered once.
 _DOC = ('{\n  "count": %d,\n  "threshold": %d,\n  "peoplePerDot": %d,\n  "constituencies": [\n%s'
         '\n  ],\n  "stats": {\n    "nodes": %d,\n    "leaves": %d,\n    "maxDepth": %d\n  }\n}\n')
 _ENTRY = ('    {\n      "id": %d,\n%s      "population": %d,\n      "flags": %s,\n'
@@ -337,7 +337,6 @@ _ENTRY = ('    {\n      "id": %d,\n%s      "population": %d,\n      "flags": %s,
 _RECT = "        [\n          %d,\n          %d,\n          %d,\n          %d\n        ]"
 _FLAGS_TEXT = {fs: json.dumps(sorted(fs), indent=2).replace("\n", "\n      ")
                for fs in _FLAG_SETS.values()}
-_FLAGS_OF = {tuple(f): fs for fs in _FLAG_SETS.values() for f in (sorted(fs), sorted(fs)[::-1])}
 
 
 def result_to_json(result: DelimitationResult) -> str:
@@ -358,40 +357,10 @@ def _require(cond: bool, message: str, *args) -> None:
         raise ResultFormatError(message % args)
 
 
-def _checked_flags(entry, i: int) -> frozenset[str]:
-    """Check constituency #i rule by rule, raising at the first that fails; give its flags."""
-    _require(isinstance(entry, dict), "constituency #%d must be an object", i)
-    for key in ("id", "population", "flags", "rects"):
-        _require(key in entry, "constituency #%d missing key '%s'", i, key)
-    _require(type(entry["id"]) is int and entry["id"] == i,
-             "constituency ids must be sequential integers, got %s", entry["id"])
-    _require(isinstance(entry["rects"], list), "constituency #%d: 'rects' must be a list", i)
-    for quad in entry["rects"]:
-        # type() rather than isinstance(): JSON true/false load as bools.
-        _require(isinstance(quad, list) and len(quad) == 4
-                 and all(type(v) is int for v in quad),
-                 "constituency #%d: rects must be [x0, y0, w, h] integers", i)
-        try:
-            Rect(*quad)
-        except ValueError as exc:
-            raise ResultFormatError(f"constituency #{i}: {exc}") from None
-    _require(len(entry["rects"]) >= 1, "constituency #%d has no rects", i)
-    population, flags = entry["population"], entry["flags"]
-    _require(type(population) is int and population >= 0,
-             "constituency #%d: population must be a non-negative integer", i)
-    _require(isinstance(flags, list)
-             and all(f in (OVER_CAPACITY, ZERO_POPULATION) for f in flags),
-             "constituency #%d: flags must be a list of '%s' and '%s'",
-             i, OVER_CAPACITY, ZERO_POPULATION)
-    _require(isinstance(entry.get("state", ""), str),
-             "constituency #%d: state must be a string", i)
-    return _FLAG_SETS[OVER_CAPACITY in flags, ZERO_POPULATION in flags]
-
-
 def result_from_json(text: str) -> DelimitationResult:
     """Rebuild a result from its JSON form (no state labels: ``locate`` takes
-    the first state root, in id order, that holds the cell). An entry that fails
-    one combined check goes through ``_checked_flags``, for its message."""
+    the first state root, in id order, that holds the cell). One pass tests each
+    rule in turn and raises the message of the first that a document breaks."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -405,25 +374,48 @@ def result_from_json(text: str) -> DelimitationResult:
     constituencies: list[Constituency] = []
     width = height = 0
     for i, entry in enumerate(doc["constituencies"], start=1):
-        try:
-            quads, population, flags = entry["rects"], entry["population"], entry["flags"]
-            if not (type(entry["id"]) is int and entry["id"] == i and type(quads) is list and quads
-                    and type(population) is int and population >= 0 and type(flags) is list
-                    and type(entry.get("state", "")) is str):
-                raise ValueError
-            shape = []
-            for quad in quads:
-                x0, y0, w, h = quad
-                if not (type(x0) is type(y0) is type(w) is type(h) is int
-                        and x0 >= 0 and y0 >= 0 and w >= 1 and h >= 1):
-                    raise ValueError
-                shape.append(tuple.__new__(Rect, quad))
-                width, height = max(width, x0 + w), max(height, y0 + h)
-            flags = _FLAGS_OF[tuple(flags)]
-        except (KeyError, TypeError, ValueError):
-            # Raises for all but a valid entry that repeats a flag, whose shape is built.
-            flags = _checked_flags(entry, i)
-        constituencies.append(Constituency(i, tuple(shape), population, flags, entry.get("state")))
+        if type(entry) is not dict:
+            raise ResultFormatError(f"constituency #{i} must be an object")
+        try:  # the first of the four keys that is missing raises
+            cid, population = entry["id"], entry["population"]
+            flags, quads = entry["flags"], entry["rects"]
+        except KeyError as exc:
+            raise ResultFormatError(f"constituency #{i} missing key '{exc.args[0]}'") from None
+        if type(cid) is not int or cid != i:
+            raise ResultFormatError(f"constituency ids must be sequential integers, got {cid}")
+        if type(quads) is not list:
+            raise ResultFormatError(f"constituency #{i}: 'rects' must be a list")
+        shape = []
+        for quad in quads:
+            try:
+                x0, y0, w, h = quad  # a 4-character str or 4-key object unpacks to strs
+                if not type(x0) is type(y0) is type(w) is type(h) is int:
+                    raise TypeError
+            except (TypeError, ValueError):
+                raise ResultFormatError(
+                    f"constituency #{i}: rects must be [x0, y0, w, h] integers") from None
+            if x0 < 0 or y0 < 0 or w < 1 or h < 1:
+                try:  # Rect raises its own message
+                    Rect(x0, y0, w, h)
+                except ValueError as exc:
+                    raise ResultFormatError(f"constituency #{i}: {exc}") from None
+            shape.append(tuple.__new__(Rect, quad))
+            if x0 + w > width:  # cheaper than max() for each rect
+                width = x0 + w
+            if y0 + h > height:
+                height = y0 + h
+        if not shape:
+            raise ResultFormatError(f"constituency #{i} has no rects")
+        if type(population) is not int or population < 0:
+            raise ResultFormatError(f"constituency #{i}: population must be a non-negative integer")
+        if not (type(flags) is list
+                and flags.count(OVER_CAPACITY) + flags.count(ZERO_POPULATION) == len(flags)):
+            raise ResultFormatError(f"constituency #{i}: flags must be a list of "
+                                    f"'{OVER_CAPACITY}' and '{ZERO_POPULATION}'")
+        if type(entry.get("state", "")) is not str:
+            raise ResultFormatError(f"constituency #{i}: state must be a string")
+        constituencies.append(Constituency(i, tuple(shape), population, _FLAG_SETS[
+            OVER_CAPACITY in flags, ZERO_POPULATION in flags], entry.get("state")))
     _require(type(doc["count"]) is int, "'count' must be an integer")
     _require(doc["count"] == len(constituencies),
              "count %s does not match %d constituencies", doc["count"], len(constituencies))

@@ -258,6 +258,12 @@ class TestRenderCommand:
         assert str(2**24 + 1) in capsys.readouterr().err
         assert not out.exists() and not svg.exists()
 
+    def test_failed_svg_write_removes_result(self, grid16, tmp_path, capsys):
+        out, svg = tmp_path / "r.json", tmp_path / "missing-dir" / "map.svg"
+        assert run(["delimit", grid16, "--out", str(out), "--svg", str(svg)]) == 4
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
+
     def test_dimension_mismatch_is_exit_3(self, grid16, tmp_path, capsys):
         small = tmp_path / "small.txt"
         small.write_text("2 2 10 100\n1 1\n1 1\n")

@@ -591,6 +591,14 @@ class TestSerialization:
             bad["constituencies"][0]["rects"] = quads
             with pytest.raises(ResultFormatError, match=message):
                 result_from_json(json.dumps(bad))
+        bad = json.loads(json.dumps(good))
+        bad["constituencies"][0] = []
+        with pytest.raises(ResultFormatError, match="constituency #1 must be an object"):
+            result_from_json(json.dumps(bad))
+        bad = json.loads(json.dumps(good))
+        del bad["constituencies"][0]["rects"]
+        with pytest.raises(ResultFormatError, match="constituency #1 missing key 'rects'"):
+            result_from_json(json.dumps(bad))
         # A repeated flag is not a fault: it loads as the one flag.
         bad = json.loads(json.dumps(good))
         bad["constituencies"][0]["flags"] = [OVER_CAPACITY, OVER_CAPACITY]

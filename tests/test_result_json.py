@@ -2,9 +2,9 @@
 
 ``result_to_json`` writes the fixed layout from templates; it must give the
 bytes of ``json.dumps(result_to_dict(r), indent=2)``. ``result_from_json``
-checks each entry with one combined test; on documents with one or two
-faults it must give the result, or the ``ResultFormatError`` message, of
-``result_from_json_reference``, which runs every check in turn.
+tests each rule inline in one pass; on documents with one or two faults it
+must give the result, or the ``ResultFormatError`` message, of
+``result_from_json_reference``, a chain of ``_require`` checks.
 """
 
 import json
@@ -51,6 +51,8 @@ def test_writer_matches_json_dumps(result):
 # --- loader ------------------------------------------------------------------
 
 NOT_INTS = [True, False, 1.5, 2.0, "7", None, [1], {}]
+NOT_OBJECTS = [[], "x", 7, None]
+NOT_QUADS = ["abcd", {"a": 1, "b": 2, "c": 3, "d": 4}, 5]
 FLAG_LISTS = [["bogus"], [OVER_CAPACITY, OVER_CAPACITY], [ZERO_POPULATION, OVER_CAPACITY],
               [OVER_CAPACITY, ZERO_POPULATION], [ZERO_POPULATION] * 3, [[OVER_CAPACITY]],
               [OVER_CAPACITY, "bogus"], "", {OVER_CAPACITY: 1}, None]
@@ -59,10 +61,12 @@ FLAG_LISTS = [["bogus"], [OVER_CAPACITY, OVER_CAPACITY], [ZERO_POPULATION, OVER_
 def _mutate(doc: dict, draw) -> None:
     """Apply one fault to the document in place, where its structure allows."""
     entries = doc.get("constituencies")
-    entry = draw(st.sampled_from(entries)) if isinstance(entries, list) and entries else None
+    listed = isinstance(entries, list) and entries
+    entry = draw(st.sampled_from(entries)) if listed else None
     if not isinstance(entry, dict):
         entry = None
-    kinds = ["drop", "not_int"] + (["quad", "rects", "flags", "state"] if entry is not None else [])
+    kinds = ["drop", "not_int"] + (["entry"] if listed else []) \
+        + (["quad", "rects", "flags", "state"] if entry is not None else [])
     kind = draw(st.sampled_from(kinds))
     if kind in ("drop", "not_int"):
         holders = [doc] + ([entry] if entry is not None else [])
@@ -76,13 +80,18 @@ def _mutate(doc: dict, draw) -> None:
             del holder[key]
         else:
             holder[key] = draw(st.sampled_from(NOT_INTS))
+    elif kind == "entry":
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(NOT_OBJECTS))
     elif kind == "quad":
         quads = entry.get("rects")
-        quad = draw(st.sampled_from(quads)) if isinstance(quads, list) and quads else None
-        if not isinstance(quad, list):
+        at = draw(st.integers(0, len(quads) - 1)) if isinstance(quads, list) and quads else None
+        if at is None or not isinstance(quads[at], list):
             return
-        how = draw(st.sampled_from(["short", "long", "size", "origin", "not_int"]))
-        if how == "short":
+        quad = quads[at]
+        how = draw(st.sampled_from(["short", "long", "size", "origin", "not_int", "not_list"]))
+        if how == "not_list":
+            quads[at] = draw(st.sampled_from(NOT_QUADS))
+        elif how == "short":
             quad.pop()
         elif how == "long":
             quad.append(draw(st.integers(-1, 3)))
@@ -120,6 +129,22 @@ def test_loader_matches_reference_on_faulty_documents(result, data):
     assert got == want
     if got[0] == "ok":
         assert all(type(r) is Rect for c in got[1].constituencies for r in c.shape)
+
+
+def test_first_broken_rule_gives_the_message():
+    """An entry that breaks a rule and every later one gets the first rule's
+    message, as the reference gives it."""
+    faults = [("id", 2, "sequential"), ("rects", {}, "'rects' must be a list"),
+              ("population", -1, "population"), ("flags", ["bogus"], "flags"),
+              ("state", 7, "state")]
+    for k, (_, _, message) in enumerate(faults):
+        entry = {"id": 1, "population": 0, "flags": [], "rects": [[0, 0, 1, 1]]}
+        entry.update((key, value) for key, value, _ in faults[k:])
+        text = json.dumps({"count": 1, "threshold": 1, "peoplePerDot": 1, "constituencies": [entry],
+                           "stats": {"nodes": 1, "leaves": 1, "maxDepth": 0}})
+        got = _outcome(result_from_json, text)
+        assert got[0] == "error" and message in got[1]
+        assert got == _outcome(result_from_json_reference, text)
 
 
 def test_loaded_rects_are_rects_and_index_as_in_memory():
