@@ -15,8 +15,10 @@ Scenario text is read in numpy. A count block made only of ASCII digits,
 spaces and tabs goes through ``np.loadtxt``; any other block, and any block
 ``np.loadtxt`` rejects or reads to the wrong shape, is read token by token
 with Python's ``int``, which gives the same values and names the line and
-column of the first bad cell. State labels become an int32 code raster whose
-connectivity is checked by union-find over row runs.
+column of the first bad cell. State labels become an int32 code raster. The
+one outline tracer, crack following on an id raster (the 2-D marching-cubes
+cell table, Lorensen and Cline 1987), lives here too: a state is connected iff
+exactly one of its outlines is an outer one (Suzuki and Abe, 1985).
 """
 
 from __future__ import annotations
@@ -255,73 +257,108 @@ def encode_labels(labels: tuple[tuple[str, ...], ...]) -> tuple[np.ndarray, tupl
 
 def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]
                      ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Check the label grid's shape and each state's connectivity; return the
-    read-only int32 code raster and the sorted state names."""
+    """Check the label grid's shape, and that each state is one edge-connected
+    region: exactly one of its outline cycles is outer, its least (y, x, out)
+    corner going right, as a hole's goes down. Pointer doubling finds each
+    cycle's least corner. An outer one is its region's first cell, so the
+    error names what a row-major flood fill finds first. Return the read-only
+    int32 code raster and the sorted state names."""
     if len(labels) != grid.height or any(len(row) != grid.width for row in labels):
         raise ScenarioError(
             f"state label grid must be {grid.width}x{grid.height} like the dot grid"
         )
     codes, names = encode_labels(labels)
     codes.setflags(write=False)
-    _check_connected(codes, names)
+    padded = np.zeros((grid.height + 2, grid.width + 2), dtype=np.min_scalar_type(len(names)))
+    np.add(codes, 1, out=padded[1:-1, 1:-1], casting="unsafe")
+    vertex, ident, out, successor = link_corners(padded)
+    key = least = vertex * 4 + out
+    # Windows of 2**k corners; one whose minimum doubling leaves unchanged
+    # already holds its cycle's.
+    while not np.array_equal(least, lower := np.minimum(least, least[successor])):
+        least, successor = lower, successor[successor]
+    starts = np.flatnonzero((least == key) & (out == 0))
+    first: dict[int, tuple[int, int]] = {}
+    for v, k in zip(vertex[starts].tolist(), ident[starts].tolist()):
+        y, x = divmod(v, grid.width + 1)
+        if k in first:
+            raise ScenarioError(f"state '{names[k - 1]}' is not orthogonally connected: "
+                                f"cell ({x}, {y}) is separate from cell {first[k]}")
+        first[k] = (x, y)
     return codes, names
 
 
-def _check_connected(codes: np.ndarray, names: tuple[str, ...]) -> None:
-    """Union-find over row runs of equal codes.
+# An id's (in, out) turns at a lattice vertex by its membership pattern in the
+# 2x2 window (bits 1 top-left, 2 top-right, 4 bottom-left, 8 bottom-right), the
+# id on the right; directions 0 right, 1 down, 2 left, 3 up. The pinches 6 and 9
+# pair each way in with its right turn. Other patterns and unused slots are -1.
+_TURNS = np.full((16, 2, 2), -1, dtype=np.int8)
+for _p, _pairs in {1: [(1, 2)], 2: [(2, 3)], 4: [(0, 1)], 8: [(3, 0)], 7: [(2, 1)],
+                   11: [(3, 2)], 13: [(1, 0)], 14: [(0, 3)], 6: [(0, 1), (2, 3)],
+                   9: [(1, 2), (3, 0)]}.items():
+    _TURNS[_p, :len(_pairs)] = _pairs
+_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
 
-    Runs are numbered in row-major order of their first cell, and a union
-    keeps the smaller number as root, so a component's root is its first
-    run. The error names what a row-major flood fill finds first: the first
-    cell of the first component that is not its state's first, and the
-    state's first cell.
-    """
-    height, width = codes.shape
-    run_start = np.ones(codes.shape, dtype=bool)
-    run_start[:, 1:] = codes[:, 1:] != codes[:, :-1]
-    run_of = np.cumsum(run_start.ravel()) - 1
-    n_runs = int(run_of[-1]) + 1
-    # Vertical contacts between runs of one state; a pair of runs touching
-    # along several cells is listed once.
-    same = (codes[1:] == codes[:-1]).ravel()
-    above, below = run_of[:-width][same], run_of[width:][same]
-    if above.size > 1:
-        first = np.ones(above.size, dtype=bool)
-        first[1:] = (above[1:] != above[:-1]) | (below[1:] != below[:-1])
-        above, below = above[first], below[first]
 
-    parent = list(range(n_runs))
+def link_corners(padded: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(vertex, id, out, successor) of every outline corner of a zero-bordered
+    id raster (0 is no id), in vertex order. Vertex ``v`` is the top-left of
+    interior cell (row, column) ``divmod(v, padded.shape[1] - 1)``; a corner's
+    successor is the next corner of its id on its way out. Each cycle is one
+    outline, its id on the right: clockwise around a region, anticlockwise
+    around a hole."""
+    rows, span = padded.shape[0] - 1, padded.shape[1] - 1
+    top_left = padded[:-1, :-1]
+    turn = top_left != padded[:-1, 1:]
+    turn |= top_left != padded[1:, :-1]
+    turn |= top_left != padded[1:, 1:]
+    vertex = np.flatnonzero(turn)
+    del turn
+    # window[q]: window cell q (bit 1 << q) of each vertex where ids differ;
+    # pattern[q]: the membership pattern of its id.
+    cell = vertex + vertex // span
+    window = np.stack([padded.ravel()[cell + d] for d in (0, 1, span + 1, span + 2)])
+    pattern = ((window[:, None] == window) * _BITS[:, None]).sum(axis=1, dtype=np.uint8)
+    # Each id once, at its first window cell, where it turns.
+    first = (pattern & (_BITS[:, None] - 1)) == 0
+    at, q = np.nonzero((first & (window != 0) & (_TURNS[pattern, 0, 0] >= 0)).T)
+    turns = _TURNS[pattern[q, at]].reshape(-1, 2)
+    pick = np.flatnonzero(turns[:, 0] >= 0)  # a pinch's second corner follows its first
+    vertex, ident = vertex[at][pick // 2], window[q, at][pick // 2].astype(np.int64)
+    into, out = turns[pick].T
+    # An id's runs along a line meet only at pinches, so sorted by (id, line,
+    # position, low end) they pair up as (low end, high end). The keys stay
+    # below 2 * (ids + 1) * rows * span, and ids < rows * span, so they fit
+    # int64 for any raster of fewer than 2**31 cells.
+    successor = np.empty(vertex.size, dtype=np.intp)
+    y, x = np.divmod(vertex, span)
+    for axis, line, pos, lines, size in ((0, y, x, rows, span), (1, x, y, span, rows)):
+        low_end = np.where(out % 2 == axis, out == axis, into == axis + 2)
+        low, high = np.argsort(((ident * lines + line) * size + pos) * 2 + low_end).reshape(-1, 2).T
+        forward = out[low] == axis
+        successor[np.where(forward, low, high)] = np.where(forward, high, low)
+    return vertex, ident, out, successor
 
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        return r
 
-    components = n_runs
-    for a, b in zip(above.tolist(), below.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            components -= 1
-    if components == len(names):
-        return
-
-    roots = np.array([find(r) for r in range(n_runs)])
-    run_cells = np.flatnonzero(run_start)
-    comp_runs = np.flatnonzero(roots == np.arange(n_runs))
-    comp_codes = codes.ravel()[run_cells[comp_runs]]
-    # Every code has a component; its first one is not extra.
-    _, first_comp = np.unique(comp_codes, return_index=True)
-    extra = np.ones(comp_runs.size, dtype=bool)
-    extra[first_comp] = False
-    bad = int(np.argmax(extra))
-    code = int(comp_codes[bad])
-    y, x = divmod(int(run_cells[comp_runs[bad]]), width)
-    seen = divmod(int(run_cells[comp_runs[first_comp[code]]]), width)[::-1]
-    raise ScenarioError(
-        f"state '{names[code]}' is not orthogonally connected: "
-        f"cell ({x}, {y}) is separate from cell {seen}"
-    )
+def outline_loops(padded: np.ndarray, x0: int = 0, y0: int = 0
+                  ) -> dict[int, list[list[tuple[int, int]]]]:
+    """Each id's outlines in a zero-bordered id raster whose first interior
+    cell is map cell ``(x0, y0)``: loops of corners in map coordinates,
+    ordered by and starting at their least (y, x, out) corner."""
+    vertex, ident, out, successor = link_corners(padded)
+    span = padded.shape[1] - 1
+    xs, ys = memoryview(vertex % span + x0), memoryview(vertex // span + y0)
+    nxt, ids, seen = memoryview(successor), memoryview(ident), bytearray(vertex.size)
+    loops: dict[int, list[list[tuple[int, int]]]] = {}
+    for start in np.lexsort((out, vertex, ident)).tolist():
+        i, loop = start, []
+        while not seen[i]:
+            seen[i] = 1
+            loop.append((xs[i], ys[i]))
+            i = nxt[i]
+        if loop:
+            loops.setdefault(ids[start], []).append(loop)
+    return loops
 
 
 def _parse_counts(rows: list[tuple[int, str]], width: int, height: int) -> np.ndarray:

@@ -1,24 +1,29 @@
 """SVG and ASCII views of delimitation results.
 
-Constituency boundaries are traced along cell edges: every unit edge between
-a constituency cell and a cell outside the constituency (or the grid
-exterior) is kept, edges interior to the constituency cancel out, and the
-survivors are chained into closed loops. Merged, non-rectangular
-constituencies therefore render as a single outline with no interior lines.
+Outlines follow cell edges and all come from ``popgrid.outline_loops``, run
+on rasters of constituency ids and of state codes. Edges inside a
+constituency make no corner, so merged, non-rectangular constituencies render
+as a single outline with no interior lines.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import attrgetter
 
-from .popgrid import DotGrid, encode_labels
+import numpy as np
+
+from .popgrid import DotGrid, encode_labels, outline_loops
 from .quadtree import Constituency, DelimitationResult, paint_cells
 
 SVG_NS = "http://www.w3.org/2000/svg"
 # render_svg writes one <circle> per dot; above this many it refuses to draw them.
 MAX_SVG_DOTS = 2**24
+# What a state label needs escaped in a double-quoted XML attribute.
+_ATTRIBUTE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 @dataclass(frozen=True)
@@ -40,55 +45,53 @@ class RenderStyle:
 
 
 def boundary_loops(cells: set[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Chain the outer edges of a cell set into closed loops of corner vertices.
-
-    Edges are oriented so the interior stays on the right of the walking
-    direction; loops come out clockwise in image coordinates, ordered by and
-    starting at their topmost-leftmost vertex. A loop lists only the vertices
-    where it turns, so a straight run of edges gives its two end corners.
-    """
-    # vertex -> outgoing (to-vertex, direction); directions in screen
-    # coordinates, y down: 0 right, 1 down, 2 left, 3 up.
-    outgoing: defaultdict[tuple[int, int], list] = defaultdict(list)
-    for (x, y) in cells:
-        if (x, y - 1) not in cells:
-            outgoing[(x, y)].append(((x + 1, y), 0))
-        if (x + 1, y) not in cells:
-            outgoing[(x + 1, y)].append(((x + 1, y + 1), 1))
-        if (x, y + 1) not in cells:
-            outgoing[(x + 1, y + 1)].append(((x, y + 1), 2))
-        if (x - 1, y) not in cells:
-            outgoing[(x, y + 1)].append(((x, y), 3))
-
-    loops = []
-    # Vertices are only ever removed, so the first in this order still left
-    # is the topmost-leftmost one.
-    order = iter(sorted(outgoing, key=lambda v: (v[1], v[0])))
-    while outgoing:
-        # The topmost-leftmost vertex is entered going up and left going
-        # right, its only outgoing edge, so it is a corner.
-        start = vertex = next(v for v in order if v in outgoing)
-        incoming = 3
-        loop = []
-        while True:
-            options = outgoing[vertex]
-            # Take the sharpest turn toward the interior (right turn first);
-            # at a pinch vertex this keeps each loop simple.
-            nxt, d = min(options, key=lambda o: (o[1] - incoming) % 4 or 4)
-            options.remove((nxt, d))
-            if not options:
-                del outgoing[vertex]
-            if d != incoming:
-                loop.append(vertex)
-            if nxt == start:
-                break
-            vertex, incoming = nxt, d
-        loops.append(loop)
-    return loops
+    """Outlines of a cell set, traced by ``outline_loops`` in its bounding box:
+    closed loops of the corners where they turn, clockwise around the cells
+    (anticlockwise around holes) in image coordinates, ordered by and
+    starting at their topmost-leftmost corner."""
+    if not cells:
+        return []
+    xs, ys = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
+                         count=2 * len(cells)).reshape(-1, 2).T
+    x0, y0 = int(xs.min()), int(ys.min())
+    padded = np.zeros((int(ys.max()) - y0 + 3, int(xs.max()) - x0 + 3), dtype=np.uint8)
+    padded[ys - y0 + 1, xs - x0 + 1] = 1
+    return outline_loops(padded, x0, y0)[1]
 
 
 def constituency_cells(c: Constituency) -> set[tuple[int, int]]:
     return {cell for r in c.shape for cell in r.cells()}
+
+
+# Constituencies per raster: consecutive ids lie close together, and their
+# numbers in the chunk fit uint8.
+_CHUNK = 255
+
+
+def _constituency_loops(result: DelimitationResult) -> Iterator[list[list[tuple[int, int]]]]:
+    """Each constituency's outline loops, in id order. Chunks of one state's
+    constituencies are painted whole into their bounding box and traced
+    together; states' rects overlap, so states never share a raster."""
+    for _, group in groupby(result.constituencies, key=attrgetter("state")):
+        group = list(group)
+        for i in range(0, len(group), _CHUNK):
+            yield from _trace_run(group[i:i + _CHUNK])
+
+
+def _trace_run(run: list[Constituency]) -> list[list[list[tuple[int, int]]]]:
+    rects = [r for c in run for r in c.shape]
+    x0, y0 = min((r.x0 for r in rects), default=0), min((r.y0 for r in rects), default=0)
+    x1 = max((r.x0 + r.w for r in rects), default=0)
+    y1 = max((r.y0 + r.h for r in rects), default=0)
+    padded = np.zeros((y1 - y0 + 2, x1 - x0 + 2), dtype=np.min_scalar_type(len(run)))
+    for n, c in enumerate(run, 1):
+        for x, y, w, h in c.shape:
+            padded[y - y0 + 1:y - y0 + 1 + h, x - x0 + 1:x - x0 + 1 + w] = n
+    # Rects that overlap, only in a malformed document, are traced one by one.
+    if len(run) > 1 and np.count_nonzero(padded) < sum(r.area for r in rects):
+        return [loops for c in run for loops in _trace_run([c])]
+    loops = outline_loops(padded, x0, y0)
+    return [loops.get(n, []) for n in range(1, len(run) + 1)]
 
 
 def _loops_to_path(loops: list[list[tuple[int, int]]], scale: int) -> str:
@@ -136,20 +139,22 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
     lines.append(f'  <g id="constituencies" fill="none" '
                  f'stroke="{style.constituency_color}" '
                  f'stroke-width="{style.constituency_width}">')
-    for c in result.constituencies:
-        path = _loops_to_path(boundary_loops(constituency_cells(c)), cell)
-        lines.append(f'    <path id="c{c.id}" d="{path}"/>')
+    for c, loops in zip(result.constituencies, _constituency_loops(result)):
+        lines.append(f'    <path id="c{c.id}" d="{_loops_to_path(loops, cell)}"/>')
     lines.append("  </g>")
 
     if result.state_labels is not None:
         lines.append(f'  <g id="states" fill="none" stroke="{style.state_color}" '
                      f'stroke-width="{style.state_width}">')
-        # One state's cell set at a time keeps the peak to the largest state.
         codes, names = encode_labels(result.state_labels)
-        for i, state in enumerate(names):
-            ys, xs = (codes == i).nonzero()
-            path = _loops_to_path(boundary_loops(set(zip(xs.tolist(), ys.tolist()))), cell)
-            lines.append(f'    <path id="state-{state}" d="{path}"/>')
+        padded = np.zeros((result.height + 2, result.width + 2),
+                          dtype=np.min_scalar_type(len(names)))
+        np.add(codes, 1, out=padded[1:-1, 1:-1], casting="unsafe")
+        del codes
+        loops = outline_loops(padded)
+        for i, state in enumerate(names, 1):
+            lines.append(f'    <path id="state-{state.translate(_ATTRIBUTE)}" '
+                         f'd="{_loops_to_path(loops[i], cell)}"/>')
         lines.append("  </g>")
 
     lines.append("</svg>")

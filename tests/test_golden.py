@@ -15,9 +15,9 @@ import random
 
 import numpy as np
 
-from quadlimit import delimit, render_ascii_grid, render_svg, result_to_json
+from quadlimit import delimit, load_scenario, render_ascii_grid, render_svg, result_to_json
 
-from helpers import random_l_labels, random_scenario, random_staircase_labels
+from helpers import random_l_labels, random_scenario, random_staircase_labels, scenario_text
 
 GOLDEN = [
     ("d9938580f72d5022", "587f23f66028c6b7", "cdd13bed521c3c54"),
@@ -127,3 +127,35 @@ def test_non_rectangular_states_match_pinned_digests():
             mismatched.append((i, differ))
     assert overlapping == len(NON_RECT_GOLDEN)
     assert mismatched == []
+
+
+# State A is a ring around state B; state C touches A only at the vertex
+# (5, 5); D wraps around both. A's bounding box holds all of B, so A's rects
+# cover B's cells. Taken before one corner-linking tracer drew every outline.
+RING_COUNTS = [
+    [3, 1, 0, 2, 5, 1, 0, 4],
+    [0, 4, 1, 1, 0, 2, 2, 0],
+    [2, 0, 6, 1, 3, 0, 1, 1],
+    [1, 2, 0, 3, 1, 5, 0, 2],
+    [0, 1, 2, 0, 4, 1, 3, 0],
+    [5, 0, 1, 2, 0, 2, 0, 1],
+    [1, 3, 0, 1, 2, 1, 4, 0],
+    [0, 2, 1, 0, 1, 0, 2, 3],
+]
+RING_LABELS = [
+    "A A A A A D D D",
+    "A A A A A D D D",
+    "A A B B A D D D",
+    "A A B B A D D D",
+    "A A A A A D D D",
+    "D D D D D C C D",
+    "D D D D D C C D",
+    "D D D D D D D D",
+]
+RING_GOLDEN = ("0d55af283c7f6e8d", "68b4ef32f62fa868", "2c002604855cd50e")
+
+
+def test_ring_state_matches_pinned_digests():
+    s = load_scenario(scenario_text(RING_COUNTS, 10, 60, [r.split() for r in RING_LABELS]))
+    assert delimit(s).per_state["A"] == [1, 2, 3, 4, 5, 6, 7]
+    assert _mismatch(s, RING_GOLDEN) == []

@@ -299,6 +299,29 @@ def label_maps(draw, width, height):
 
 
 @st.composite
+def enclosure_maps(draw, width, height):
+    """A background label with up to three boxes drawn over it: a frame of
+    one label around a filling of another (often the background, which the
+    frame then cuts off), or a diagonal of cells that meet only at corners."""
+    names = draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=3, unique=True))
+    grid = [[names[0]] * width for _ in range(height)]
+    for _ in range(draw(st.integers(1, 3))):
+        x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        w, h = draw(st.integers(1, width - x0)), draw(st.integers(1, height - y0))
+        edge, fill = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        if draw(st.booleans()):
+            for y in range(y0, y0 + h):
+                for x in range(x0, x0 + w):
+                    on_frame = x in (x0, x0 + w - 1) or y in (y0, y0 + h - 1)
+                    grid[y][x] = edge if on_frame else fill
+        else:
+            flip = draw(st.booleans())
+            for i in range(min(w, h)):
+                grid[y0 + i][x0 + w - 1 - i if flip else x0 + i] = edge
+    return grid
+
+
+@st.composite
 def scenario_texts(draw):
     """Scenario files spelled in every way ``int`` and ``str.split`` accept,
     with at most one defect mixed in. Values stay far below 2**63."""
@@ -369,10 +392,11 @@ class TestParserDifferential:
                        for c, l in zip(crow, lrow) if l == lab)
             assert s.state_population(lab) == r.people_per_dot * dots
 
-    @given(st.integers(1, 7), st.integers(1, 7), st.data())
-    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    @settings(max_examples=600, deadline=None)
     def test_label_check_matches_flood_fill(self, width, height, data):
-        labels = tuple(map(tuple, data.draw(label_maps(width, height))))
+        maps = st.one_of(label_maps(width, height), enclosure_maps(width, height))
+        labels = tuple(map(tuple, data.draw(maps)))
         grid = DotGrid([[1] * width for _ in range(height)])
         new = _outcome(lambda ls: Scenario(grid, 1, 1, state_labels=ls), labels)
         ref = _outcome(lambda ls: validate_labels_bfs(ls, width, height), labels)

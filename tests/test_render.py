@@ -1,13 +1,17 @@
+import json
 import random
 import re
 import time
+from xml.dom import minidom
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlimit import DotGrid, RenderStyle, Scenario, boundary_loops, delimit, \
-    load_scenario, render, render_ascii_grid, render_svg
+    load_scenario, render, render_ascii_grid, render_svg, result_from_json
+from quadlimit.popgrid import outline_loops
 
 from helpers import NUL_LABELS_TEXT, random_scenario, scenario_text
 from oracles import boundary_edge_set, boundary_loops_reference, path_edge_set, \
@@ -32,6 +36,15 @@ def cell_sets(draw):
     rolls = draw(st.lists(st.integers(0, 99), min_size=w * h, max_size=w * h))
     cells = {(i % w, i // w) for i, roll in enumerate(rolls) if roll < density}
     return cells or {(0, 0)}
+
+
+@st.composite
+def id_rasters(draw):
+    """Rasters of up to 12x12 over a few of the ids 0-5 (0 is no id)."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    palette = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    values = draw(st.lists(st.sampled_from(palette), min_size=w * h, max_size=w * h))
+    return np.array(values).reshape(h, w)
 
 
 class TestBoundaryLoops:
@@ -83,6 +96,21 @@ class TestBoundaryLoops:
     @settings(max_examples=400)
     def test_matches_trace_then_collapse_oracle(self, cells):
         assert boundary_loops(cells) == boundary_loops_reference(cells)
+
+    @given(id_rasters())
+    @example(np.array([[1, 1, 1, 0], [1, 2, 1, 0], [1, 1, 1, 3]]))  # id 2 in id 1's hole
+    @example(np.array([[1, 0, 0], [0, 2, 2], [0, 2, 0]]))  # ids 1 and 2 meet at a corner
+    @example(np.array([[4, 4, 4], [4, 0, 5], [4, 4, 4]]))  # id 4 along three borders
+    @settings(max_examples=400)
+    def test_traced_raster_matches_oracle_per_id(self, ids):
+        h, w = ids.shape
+        padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+        padded[1:-1, 1:-1] = ids
+        loops = outline_loops(padded, 3, 1)
+        assert set(loops) == set(np.unique(ids).tolist()) - {0}
+        for k, got in loops.items():
+            ys, xs = np.nonzero(ids == k)
+            assert got == boundary_loops_reference(set(zip((xs + 3).tolist(), (ys + 1).tolist())))
 
 
 class TestRenderSvg:
@@ -164,6 +192,30 @@ class TestRenderSvg:
             ("B", "M 24 0 L 72 0 L 72 24 L 24 24 Z"),
             ("C", "M 0 0 L 24 0 L 24 48 L 0 48 Z"),
         ]
+
+    def test_overlapping_rects_outline_each_constituency_whole(self):
+        # A malformed document may give two constituencies the same cell;
+        # each is still outlined around all of its own rects.
+        doc = {"count": 2, "threshold": 5, "peoplePerDot": 1,
+               "constituencies": [
+                   {"id": 1, "population": 1, "flags": [], "rects": [[0, 0, 2, 2]]},
+                   {"id": 2, "population": 1, "flags": [], "rects": [[1, 1, 2, 1], [2, 0, 1, 1]]}],
+               "stats": {"nodes": 2, "leaves": 2, "maxDepth": 0}}
+        result = result_from_json(json.dumps(doc))
+        paths = svg_constituency_paths(render_svg(result, DotGrid([[1] * 3] * 2), FLAT))
+        for cid, d in paths.items():
+            cells = {cell for r in result.by_id(cid).shape for cell in r.cells()}
+            assert path_edge_set(d) == boundary_edge_set(cells)
+
+    def test_state_ids_escaped(self):
+        # A double-quoted attribute needs &, <, > and " escaped; ' stays as it is.
+        counts = [[1] * 4 for _ in range(2)]
+        labels = [['A&"x', 'A&"x', "<b>", "<b>"], ["c'd"] * 4]
+        s = load_scenario(scenario_text(counts, 1, 100, labels))
+        svg = render_svg(delimit(s), s.grid)
+        ids = [p.getAttribute("id") for p in minidom.parseString(svg).getElementsByTagName("path")]
+        assert [i for i in ids if i.startswith("state-")] == [f"state-{lab}" for lab in s.states]
+        assert 'id="state-c\'d"' in svg
 
     def test_dot_limit(self, monkeypatch):
         dense = DotGrid([[2**24 + 1]])
