@@ -79,22 +79,11 @@ class Rect(_RectFields):
     def area(self) -> int:
         return self.w * self.h
 
-    def contains(self, cx: int, cy: int) -> bool:
-        return self.x0 <= cx < self.x0 + self.w and self.y0 <= cy < self.y0 + self.h
-
     def cells(self):
         """Yield (x, y) for every cell in the rectangle, row-major."""
         for y in range(self.y0, self.y0 + self.h):
             for x in range(self.x0, self.x0 + self.w):
                 yield x, y
-
-    def touches(self, other: "Rect") -> bool:
-        """True if the two rectangles share an edge segment of length >= 1 cell."""
-        if self.x0 + self.w == other.x0 or other.x0 + other.w == self.x0:
-            return max(self.y0, other.y0) < min(self.y0 + self.h, other.y0 + other.h)
-        if self.y0 + self.h == other.y0 or other.y0 + other.h == self.y0:
-            return max(self.x0, other.x0) < min(self.x0 + self.w, other.x0 + other.w)
-        return False
 
 
 def build_sat(counts) -> np.ndarray:

@@ -7,11 +7,13 @@ population still fits under the threshold, provided their union stays
 orthogonally connected. Leaves of the final tree, after merging, are the
 constituencies.
 
-The tree is held once, as ``QuadNode`` objects with ids in depth-first,
-NW-first preorder; its node, leaf and depth counts are recorded while it
-grows. Results keep only its leaves, as constituency rects: a linear quadtree
-(Gargantini, CACM 1982) that ``locate`` descends by ``_halves`` from each
-state's root, the rects' bounding box, in memory and after loading alike.
+The tree is held as its leaves, a linear quadtree (Gargantini, CACM 1982):
+each ``Leaf`` keeps its id in depth-first, NW-first preorder and its position
+under its parent, and is filed under its parent's id, since merging never
+crosses parents. Inner nodes are only counted, with the depth, while the
+tree grows. Results keep the leaves as constituency rects, which ``locate``
+descends by ``_halves`` from each state's root, the rects' bounding box, in
+memory and after loading alike.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,18 +32,14 @@ class ResultFormatError(ValueError):
     """Raised when a serialized result document is malformed."""
 
 
-@dataclass(slots=True)
-class QuadNode:
-    """One region of the partition; internal nodes carry 4 (or 2) children."""
+class Leaf(NamedTuple):
+    """A leaf of the partition: its preorder id, rect and population, and its
+    index in ``subdivide`` of its parent (0 for a root leaf)."""
 
     id: int
     rect: Rect
     population: int
-    children: list["QuadNode"] | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
+    position: int
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class TreeStats:
 
 @dataclass
 class QuadTree:
-    root: QuadNode
+    leaves: dict[int | None, list[Leaf]]  # parent id (None for a root leaf) -> leaves in id order
     stats: TreeStats  # counted while the tree grows
 
 
@@ -152,24 +151,27 @@ def build_tree(grid: DotGrid, people_per_dot: int, threshold: int,
     larger is subdivided and its children grown in NW, NE, SW, SE order,
     each child's subtree before the next child, so node ids run in
     depth-first preorder. A 1x1 cell over the threshold cannot split and
-    stays as an over-capacity leaf.
+    stays as an over-capacity leaf. Only the leaves are kept, each filed
+    under its parent's id in the order the parents' first leaves grow.
     """
-    next_id = leaves = max_depth = 0
+    next_id = max_depth = 0
+    leaves: dict[int | None, list[Leaf]] = {}
 
-    def grow(r: Rect, depth: int) -> QuadNode:
-        nonlocal next_id, leaves, max_depth
-        node = QuadNode(id=next_id, rect=r, population=people_per_dot * grid.count_dots(r))
+    def grow(r: Rect, parent: int | None, position: int, depth: int) -> None:
+        nonlocal next_id, max_depth
+        nid = next_id
         next_id += 1
         max_depth = max(max_depth, depth)
-        if node.population <= threshold or r.area == 1:
-            leaves += 1
+        population = people_per_dot * grid.count_dots(r)
+        if population <= threshold or r.area == 1:
+            leaves.setdefault(parent, []).append(Leaf(nid, r, population, position))
         else:
-            node.children = [grow(q, depth + 1) for q in subdivide(r)]
-        return node
+            for i, q in enumerate(subdivide(r)):
+                grow(q, nid, i, depth + 1)
 
-    root = grow(root_rect if root_rect is not None else grid.bounds(), 0)
-    return QuadTree(root=root, stats=TreeStats(nodes=next_id, leaves=leaves,
-                                               max_depth=max_depth))
+    grow(root_rect if root_rect is not None else grid.bounds(), None, 0, 0)
+    stats = TreeStats(nodes=next_id, leaves=sum(map(len, leaves.values())), max_depth=max_depth)
+    return QuadTree(leaves=leaves, stats=stats)
 
 
 def tree_stats(tree: QuadTree) -> TreeStats:
@@ -180,18 +182,21 @@ def tree_stats(tree: QuadTree) -> TreeStats:
 @dataclass(slots=True)
 class MergeUnit:
     """A leaf or an agglomeration of merged sibling leaves under one parent,
-    its leaves in quadrant order."""
+    its first leaf the one of lowest id."""
 
-    leaves: list[QuadNode]
+    leaves: list[Leaf]
     population: int
 
 
 def _units_connected(a: MergeUnit, b: MergeUnit) -> bool:
-    # Each unit is connected on its own, so edge contact anywhere joins them.
-    return any(la.rect.touches(lb.rect) for la in a.leaves for lb in b.leaves)
+    # Siblings tile their parent, so a unit of two or more quadrants borders
+    # every other sibling, and two single leaves meet unless they are the
+    # diagonal quadrants NW/SE or NE/SW. A strip's halves, 0 and 1, always meet.
+    return len(a.leaves) > 1 or len(b.leaves) > 1 \
+        or a.leaves[0].position + b.leaves[0].position != 3
 
 
-def _merge_leaves(leaves: list[QuadNode], threshold: int) -> list[MergeUnit]:
+def _merge_leaves(leaves: list[Leaf], threshold: int) -> list[MergeUnit]:
     units = [MergeUnit([leaf], leaf.population) for leaf in leaves]
     while True:
         pair = next(((i, j) for i in range(len(units)) for j in range(i + 1, len(units))
@@ -200,7 +205,7 @@ def _merge_leaves(leaves: list[QuadNode], threshold: int) -> list[MergeUnit]:
         if pair is None:
             return units
         i, j = pair
-        # Folding j into the earlier i keeps the list in quadrant order.
+        # Folding j into the earlier i keeps each unit's lowest-id leaf first.
         b = units.pop(j)
         units[i].leaves.extend(b.leaves)
         units[i].population += b.population
@@ -213,18 +218,10 @@ def merge_siblings(tree: QuadTree, threshold: int) -> dict[int | None, list[Merg
     (merged units rank by their smallest contained quadrant); the first pair
     whose combined population fits the threshold and whose union is
     edge-connected is merged, and the scan restarts. Merging never crosses
-    parents. Keys are parent ids in preorder, ``None`` for a root leaf.
+    parents. Keys are parent ids, ``None`` for a root leaf, in the order
+    each parent's first leaf grew, which is not parent preorder.
     """
-    out: dict[int | None, list[MergeUnit]] = {}
-    # The root is the one child of a virtual parent with id None.
-    stack: list[tuple[int | None, list[QuadNode]]] = [(None, [tree.root])]
-    while stack:
-        parent, children = stack.pop()
-        leaves = [c for c in children if c.is_leaf]
-        if leaves:
-            out[parent] = _merge_leaves(leaves, threshold)
-        stack.extend((c.id, c.children) for c in reversed(children) if not c.is_leaf)
-    return out
+    return {parent: _merge_leaves(leaves, threshold) for parent, leaves in tree.leaves.items()}
 
 
 def delimit(scenario: Scenario) -> DelimitationResult:
@@ -251,7 +248,8 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         units.sort(key=lambda u: u.leaves[0].id)
         for cid, unit in enumerate(units, start=len(constituencies) + 1):
             pop = unit.population
-            shape = tuple(sorted((leaf.rect for leaf in unit.leaves), key=lambda r: (r.y0, r.x0)))
+            # Siblings in id order are in (y0, x0) order.
+            shape = tuple(leaf.rect for leaf in sorted(unit.leaves))
             flags = _FLAG_SETS[pop > th, pop == 0]
             constituencies.append(Constituency(cid, shape, pop, flags, state))
 

@@ -6,9 +6,10 @@ whole-array cumulative sums), connectivity is cell flood fill, scenario text is 
 token by token, divisor methods are solved globally instead of
 seat-by-seat, boundary loops are traced through every unit-edge vertex and
 collapsed afterwards, SVG outlines are re-rasterized by point-in-polygon
-testing, point location walks the explicit trees that the public
-``build_tree`` grows or scans every constituency, and result documents are
-``json.dumps`` of a dict, read back by running every check in turn.
+testing, the subdivision tree is grown as explicit nodes over naive sums,
+point location walks those nodes or scans every constituency, and result
+documents are ``json.dumps`` of a dict, read back by running every check in
+turn.
 """
 
 from __future__ import annotations
@@ -184,31 +185,72 @@ def enumerate_merge_outcomes(leaf_children, threshold):
     return outcomes
 
 
-def preorder_nodes(tree):
-    """Every node of a quadtree, depth-first with children in NW, NE, SW,
-    SE order, by walking ``children`` links."""
-    order, stack = [], [tree.root]
+class RefNode(NamedTuple):
+    id: int
+    rect: tuple[int, int, int, int]
+    population: int
+    parent: int | None
+    position: int  # index in ``_split`` of the parent; 0 for the root
+    children: list  # empty for a leaf
+
+
+def reference_tree(counts, people_per_dot, threshold, rect) -> RefNode:
+    """The subdivision tree over ``rect`` (map coordinates into ``counts``)
+    as explicit nodes, grown by recursion over naive sums and ``_split``,
+    ids in depth-first NW-first preorder."""
+    next_id = 0
+
+    def grow(region, parent, position):
+        nonlocal next_id
+        x0, y0, w, h = region
+        node = RefNode(next_id, region, people_per_dot * naive_rect_sum(counts, x0, y0, w, h),
+                       parent, position, [])
+        next_id += 1
+        if node.population > threshold and (w, h) != (1, 1):
+            node.children.extend(grow(child, node.id, q)
+                                 for q, child in enumerate(_split(*region)))
+        return node
+
+    return grow(tuple(rect), None, 0)
+
+
+def preorder_nodes(root):
+    """Every node of a reference tree, depth-first with children in NW, NE,
+    SW, SE order."""
+    order, stack = [], [root]
     while stack:
         node = stack.pop()
         order.append(node)
-        if node.children is not None:
-            stack.extend(reversed(node.children))
+        stack.extend(reversed(node.children))
     return order
 
 
-def tree_stats_by_traversal(tree):
-    """(nodes, leaves, max depth) counted by a full walk of the tree."""
+def reference_leaves(root):
+    """Parent id -> [(id, rect, population, position)] of its leaf children
+    in id order, the parents in the order their first leaves come."""
+    out = {}
+    for n in preorder_nodes(root):
+        if not n.children:
+            out.setdefault(n.parent, []).append((n.id, n.rect, n.population, n.position))
+    return out
+
+
+def tree_stats_by_traversal(root):
+    """(nodes, leaves, max depth) counted by a full walk of a reference tree."""
     nodes = leaves = max_depth = 0
-    stack = [(tree.root, 0)]
+    stack = [(root, 0)]
     while stack:
         node, depth = stack.pop()
         nodes += 1
         max_depth = max(max_depth, depth)
-        if node.children is None:
-            leaves += 1
-        else:
-            stack.extend((child, depth + 1) for child in node.children)
+        leaves += not node.children
+        stack.extend((child, depth + 1) for child in node.children)
     return nodes, leaves, max_depth
+
+
+def _covers(rect, cx, cy) -> bool:
+    x0, y0, w, h = rect
+    return x0 <= cx < x0 + w and y0 <= cy < y0 + h
 
 
 def containment_scan(result, cx, cy):
@@ -217,7 +259,7 @@ def containment_scan(result, cx, cy):
     constituency in id order whose rects cover the cell."""
     labels = result.state_labels
     for c in result.constituencies:
-        if not any(r.contains(cx, cy) for r in c.shape):
+        if not any(_covers(r, cx, cy) for r in c.shape):
             continue
         if c.state is not None and labels is not None \
                 and labels[cy][cx] != c.state:
@@ -236,17 +278,36 @@ def state_trees(scenario):
             for i, state in enumerate(scenario.states)}
 
 
+def reference_state_trees(scenario):
+    """Each state's reference tree, keyed by label (None when unlabelled),
+    over the bounding box of its cells with other states' dots counted as 0."""
+    x, th = scenario.people_per_dot, scenario.threshold
+    counts, labels = scenario.grid.counts.tolist(), scenario.state_labels
+    if labels is None:
+        return {None: reference_tree(counts, x, th, (0, 0, len(counts[0]), len(counts)))}
+    trees = {}
+    for state in sorted({lab for row in labels for lab in row}):
+        cells = [(cx, cy) for cy, row in enumerate(labels) for cx, lab in enumerate(row)
+                 if lab == state]
+        xs, ys = zip(*cells)
+        kept = [[v if labels[cy][cx] == state else 0 for cx, v in enumerate(row)]
+                for cy, row in enumerate(counts)]
+        box = (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+        trees[state] = reference_tree(kept, x, th, box)
+    return trees
+
+
 def leaf_owners(result):
     """(state, leaf rect) -> constituency id, read off the shapes."""
     return {(c.state, r): c.id for c in result.constituencies for r in c.shape}
 
 
 def tree_walk_locate(trees, owners, state, cx, cy):
-    """(constituency id, nodes visited) by walking ``children`` links from
-    the state's root to the leaf holding the cell."""
-    node, visits = trees[state].root, 1
-    while not node.is_leaf:
-        node = next(c for c in node.children if c.rect.contains(cx, cy))
+    """(constituency id, nodes visited) by walking a reference tree's
+    children from the state's root to the leaf holding the cell."""
+    node, visits = trees[state], 1
+    while node.children:
+        node = next(c for c in node.children if _covers(c.rect, cx, cy))
         visits += 1
     return owners[(state, node.rect)], visits
 

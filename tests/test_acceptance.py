@@ -86,14 +86,10 @@ def _constituencies_by_parent(scenario, result):
     owners = leaf_owners(result)
     groups = {}
     for state, tree in state_trees(scenario).items():
-        stack = [(None, tree.root)]
-        while stack:
-            parent, node = stack.pop()
-            if node.is_leaf:
-                cid = owners[(state, node.rect)]
+        for parent, leaves in tree.leaves.items():
+            for leaf in leaves:
+                cid = owners[(state, leaf.rect)]
                 groups.setdefault((state, parent), {})[cid] = result.by_id(cid)
-            else:
-                stack.extend((node.id, child) for child in node.children)
     return {key: list(group.values()) for key, group in groups.items()}
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadlimit import Rect, RenderStyle, Scenario, boundary_loops, build_tree, delimit, \
+from quadlimit import DotGrid, Rect, RenderStyle, Scenario, boundary_loops, build_tree, delimit, \
     locate, merge_siblings, render_svg, result_from_json, result_to_json, tree_stats
 from quadlimit.render import constituency_cells
 
@@ -28,16 +28,19 @@ LABELLERS = [random_staircase_labels, random_l_labels]
 def replay_delimit(scenario):
     """Node, leaf, depth and unit counts from the benchmark's replay steps:
     masks from ``label_array``, ``masked``, ``build_tree`` rooted at the
-    mask's ``np.nonzero`` bounding box, ``merge_siblings`` and ``tree_stats``."""
+    mask's ``np.nonzero`` bounding box (the whole grid, ``root_rect=None``,
+    when unlabelled), ``merge_siblings`` and ``tree_stats``."""
     x, th = scenario.people_per_dot, scenario.threshold
     labels = scenario.label_array()
     nodes = leaves = depth = units = 0
-    for state in scenario.states:
-        mask = labels == state
-        grid = scenario.grid.masked(mask)
-        ys, xs = np.nonzero(mask)
-        root = Rect(int(xs.min()), int(ys.min()),
-                    int(xs.max() - xs.min()) + 1, int(ys.max() - ys.min()) + 1)
+    for state in scenario.states or [None]:
+        grid, root = scenario.grid, None
+        if state is not None:
+            mask = labels == state
+            grid = scenario.grid.masked(mask)
+            ys, xs = np.nonzero(mask)
+            root = Rect(int(xs.min()), int(ys.min()),
+                        int(xs.max() - xs.min()) + 1, int(ys.max() - ys.min()) + 1)
         tree = build_tree(grid, x, th, root_rect=root)
         merged = merge_siblings(tree, th)
         stats = tree_stats(tree)
@@ -48,14 +51,21 @@ def replay_delimit(scenario):
 
 
 def scenarios(labeller, seed, n=12):
+    """Labelled by ``labeller``, or unlabelled when it is None."""
     rng = random.Random(seed)
-    return [random_scenario(rng, max_dim=24, min_dim=6, with_states=True, labeller=labeller)
-            for _ in range(n)]
+    kwargs = {"with_states": False} if labeller is None \
+        else {"with_states": True, "labeller": labeller}
+    return [random_scenario(rng, max_dim=24, min_dim=6, **kwargs) for _ in range(n)]
 
 
-@pytest.mark.parametrize("labeller", LABELLERS)
+@pytest.mark.parametrize("labeller", [None, *LABELLERS])
 def test_replayed_steps_agree_with_delimit(labeller):
-    for s in scenarios(labeller, 91):
+    cases = scenarios(labeller, 91)
+    if labeller is None:  # a root leaf files its one unit under merge_siblings' key None
+        root_leaf = Scenario(grid=DotGrid([[1, 2], [3, 4]]), people_per_dot=1, threshold=10)
+        assert list(merge_siblings(build_tree(root_leaf.grid, 1, 10), 10)) == [None]
+        cases.append(root_leaf)
+    for s in cases:
         result = delimit(s)
         assert replay_delimit(s) == (result.stats.nodes, result.stats.leaves,
                                      result.stats.max_depth, result.count)

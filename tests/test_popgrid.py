@@ -34,12 +34,6 @@ class TestRect:
         with pytest.raises(ValueError):
             Rect(0, 0, 1, 0)
 
-    def test_touches_shares_edge_not_corner(self):
-        assert Rect(0, 0, 2, 2).touches(Rect(2, 0, 2, 2))
-        assert Rect(0, 0, 2, 2).touches(Rect(0, 2, 2, 2))
-        assert not Rect(0, 0, 2, 2).touches(Rect(2, 2, 2, 2))  # corner only
-        assert not Rect(0, 0, 2, 2).touches(Rect(3, 0, 2, 2))  # gap
-
     def test_cells_row_major(self):
         assert list(Rect(1, 2, 2, 2).cells()) == [(1, 2), (2, 2), (1, 3), (2, 3)]
 

@@ -1,21 +1,24 @@
 import dataclasses
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadlimit import Constituency, DotGrid, QuadNode, QuadTree, Rect, ResultFormatError, \
+from quadlimit import Constituency, DotGrid, Leaf, QuadTree, Rect, ResultFormatError, \
     Scenario, TreeStats, build_tree, delimit, load_scenario, locate, \
     locate_with_visits, merge_siblings, paint_cells, result_from_json, \
     result_to_json, subdivide, tree_stats
-from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION
+from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, MergeUnit, _units_connected
 
 from helpers import DEEP_JSON, NUL_LABELS_TEXT, THREE_BY_ONE, random_l_labels, \
     random_scenario, random_staircase_labels, scenario_text
 from oracles import containment_scan, enumerate_merge_outcomes, flood_connected, \
-    leaf_owners, oracle_delimit, preorder_nodes, rect_cells, result_to_dict, state_trees, \
+    leaf_owners, oracle_delimit, preorder_nodes, rect_cells, reference_leaves, \
+    reference_state_trees, reference_tree, result_to_dict, state_trees, \
     tree_stats_by_traversal, tree_walk_locate
 
 
@@ -64,28 +67,37 @@ class TestSubdivide:
         assert seen == rect_cells(x0, y0, w, h)
 
 
+def grid_tree(s):
+    """A scenario's whole-grid reference tree."""
+    return reference_tree(s.grid.counts.tolist(), s.people_per_dot, s.threshold,
+                          s.grid.bounds())
+
+
 class TestBuildTree:
     def test_whole_grid_fits_threshold_single_leaf(self):
         grid = DotGrid([[1, 0], [0, 0]])
         tree = build_tree(grid, 500, 1000)
-        assert tree.root.is_leaf
-        assert tree.root.population == 500
-        assert tree.root.id == 0 and tree.stats == TreeStats(1, 1, 0)
-        assert [u.leaves for u in merge_siblings(tree, 1000)[None]] == [[tree.root]]
+        assert tree.leaves == {None: [Leaf(0, Rect(0, 0, 2, 2), 500, 0)]}
+        assert tree.stats == TreeStats(1, 1, 0)
+        assert [u.leaves for u in merge_siblings(tree, 1000)[None]] == [tree.leaves[None]]
 
     def test_all_zero_grid_single_leaf(self):
         tree = build_tree(DotGrid([[0] * 4 for _ in range(4)]), 500, 1)
-        assert tree.root.is_leaf
-        assert tree.root.population == 0
+        assert tree.leaves == {None: [Leaf(0, Rect(0, 0, 4, 4), 0, 0)]}
 
     def test_16x16_structure(self):
-        tree = build_tree(DotGrid([[1] * 16 for _ in range(16)]), 100, 1600)
-        assert tree.root.population == 25600
-        assert [c.population for c in tree.root.children] == [6400] * 4
-        for child in tree.root.children:
-            assert [g.population for g in child.children] == [1600] * 4
-            for g in child.children:
-                assert g.is_leaf
+        grid = DotGrid([[1] * 16 for _ in range(16)])
+        ref = reference_tree(grid.counts.tolist(), 100, 1600, grid.bounds())
+        assert ref.population == 25600
+        assert [c.population for c in ref.children] == [6400] * 4
+        tree = build_tree(grid, 100, 1600)
+        assert tree.leaves == reference_leaves(ref)
+        # The four quadrants (ids 1, 6, 11, 16) each split into four leaves.
+        assert list(tree.leaves) == [1, 6, 11, 16]
+        for parent, leaves in tree.leaves.items():
+            assert [leaf.population for leaf in leaves] == [1600] * 4
+            assert [leaf.id for leaf in leaves] == list(range(parent + 1, parent + 5))
+            assert [leaf.position for leaf in leaves] == [0, 1, 2, 3]
         assert tree.stats.nodes == 21
         assert tree.stats.max_depth == 2
 
@@ -93,64 +105,78 @@ class TestBuildTree:
         rng = random.Random(5)
         for _ in range(20):
             s = random_scenario(rng, max_dim=24, with_states=False)
-            tree = build_tree(s.grid, s.people_per_dot, s.threshold)
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
+            ref = grid_tree(s)
+            for node in preorder_nodes(ref):
                 if node.children:
                     assert sum(c.population for c in node.children) == node.population
-                    stack.extend(node.children)
+            tree = build_tree(s.grid, s.people_per_dot, s.threshold)
+            assert tree.leaves == reference_leaves(ref)
 
     def test_leaf_parents_registers_each_leaf_once(self):
         # Merge units, keyed by parent id, hold every leaf once, under its parent.
         rng = random.Random(6)
         s = random_scenario(rng, max_dim=32, with_states=False)
         tree = build_tree(s.grid, s.people_per_dot, s.threshold)
-        nodes = {n.id: n for n in preorder_nodes(tree)}
         merged = merge_siblings(tree, s.threshold)
         registered = [leaf.id for units in merged.values()
                       for u in units for leaf in u.leaves]
-        assert sorted(registered) == sorted(i for i, n in nodes.items() if n.is_leaf)
         assert len(set(registered)) == len(registered)
-        for parent_id, units in merged.items():
-            leaves = [leaf for u in units for leaf in u.leaves]
-            if parent_id is None:
-                assert leaves == [tree.root]
-                continue
-            children = nodes[parent_id].children
-            for leaf in leaves:
-                assert any(leaf is c for c in children)
-                assert leaf.is_leaf
+        assert {parent: sorted(leaf for u in units for leaf in u.leaves)
+                for parent, units in merged.items()} == reference_leaves(grid_tree(s))
 
     def test_node_ids_are_depth_first_preorder(self):
         rng = random.Random(8)
         for _ in range(20):
             s = random_scenario(rng, max_dim=32, with_states=False)
             tree = build_tree(s.grid, s.people_per_dot, s.threshold)
-            order = preorder_nodes(tree)
-            assert [n.id for n in order] == list(range(len(order)))
-            leaf_ids = [n.id for n in order if n.is_leaf]
-            assert leaf_ids == sorted(leaf_ids)
+            order = preorder_nodes(grid_tree(s))
+            assert [n.id for n in order] == list(range(tree.stats.nodes))
+            leaf_ids = [leaf.id for leaves in tree.leaves.values() for leaf in leaves]
+            assert sorted(leaf_ids) == [n.id for n in order if not n.children]
 
     def test_over_capacity_cell_becomes_leaf(self):
         tree = build_tree(DotGrid([[3, 3], [3, 3]]), 500, 1000)
         stats = tree_stats(tree)
         assert stats.nodes == 5 and stats.leaves == 4
-        assert all(n.population == 1500 for n in preorder_nodes(tree) if n.is_leaf)
+        assert [leaf.population for leaf in tree.leaves[0]] == [1500] * 4
 
     def test_sub_rect_root(self):
         grid = DotGrid([[1] * 4 for _ in range(4)])
         tree = build_tree(grid, 1, 100, root_rect=Rect(1, 1, 2, 2))
-        assert tree.root.rect == Rect(1, 1, 2, 2)
-        assert tree.root.population == 4
+        assert tree.leaves == {None: [Leaf(0, Rect(1, 1, 2, 2), 4, 0)]}
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(["grid", "sub", "masked"]),
+           st.integers(1, 3), st.randoms(use_true_random=False))
+    @example(1, 11, "grid", 1, random.Random(0))
+    @example(9, 1, "sub", 2, random.Random(1))
+    @example(7, 5, "sub", 1, random.Random(2))
+    @example(11, 9, "masked", 3, random.Random(3))
+    @settings(max_examples=200, deadline=None)
+    def test_leaves_and_stats_match_reference_tree(self, w, h, root, x, rng):
+        counts = [[rng.choice([0, 0, 1, 3, 9]) for _ in range(w)] for _ in range(h)]
+        th = rng.randint(1, x * sum(map(sum, counts)) + 1)
+        grid, rect, ref_counts = DotGrid(counts), Rect(0, 0, w, h), counts
+        if root == "sub":
+            x0, y0 = rng.randrange(w), rng.randrange(h)
+            rect = Rect(x0, y0, rng.randint(1, w - x0), rng.randint(1, h - y0))
+        elif root == "masked":
+            # A keep mask whose box can start off the origin; the tree is rooted there.
+            x0, y0 = rng.randrange(w), rng.randrange(h)
+            keep = np.zeros((h, w), dtype=bool)
+            keep[y0:, x0:] = [[rng.random() < 0.5 for _ in range(w - x0)] for _ in range(h - y0)]
+            keep[y0, x0] = True
+            ref_counts = np.where(keep, counts, 0).tolist()
+            grid = grid.masked(keep)
+            rect = grid.bounds()
+        tree = build_tree(grid, x, th, root_rect=None if root == "masked" else rect)
+        ref = reference_tree(ref_counts, x, th, rect)
+        assert tree.leaves == reference_leaves(ref)
+        assert tuple(vars(tree.stats).values()) == tree_stats_by_traversal(ref)
 
 
 def make_parent_with_leaves(pops, rect=Rect(0, 0, 2, 2)):
-    root = QuadNode(id=0, rect=rect, population=sum(pops))
-    quads = subdivide(rect)
-    root.children = [QuadNode(id=i + 1, rect=q, population=p)
-                     for i, (q, p) in enumerate(zip(quads, pops))]
-    return QuadTree(root=root, stats=TreeStats(1 + len(pops), len(pops), 1))
+    leaves = [Leaf(i + 1, q, p, i) for i, (q, p) in enumerate(zip(subdivide(rect), pops))]
+    return QuadTree(leaves={0: leaves}, stats=TreeStats(1 + len(pops), len(pops), 1))
 
 
 def leaf_ids(unit):
@@ -161,7 +187,7 @@ class TestMergeSiblings:
     def test_first_fit_merges_nw_ne_only(self):
         # Expected outcome established by enumerating every merge order.
         tree = make_parent_with_leaves([300, 300, 900, 900])
-        leaf_children = [(i, rect_cells(*tree.root.children[i].rect), p)
+        leaf_children = [(i, rect_cells(*tree.leaves[0][i].rect), p)
                          for i, p in enumerate([300, 300, 900, 900])]
         outcomes = enumerate_merge_outcomes(leaf_children, 1000)
         expected = frozenset({(frozenset({0, 1}), 600),
@@ -199,9 +225,31 @@ class TestMergeSiblings:
         units = merge_siblings(tree, 500)[0]
         assert len(units) == 4
 
+    def test_positional_contact_matches_flood_fill(self):
+        # Every ordered pair of disjoint, connected groups of a split's parts.
+        pairs = 0
+        for w in range(1, 8):
+            for h in range(1, 8):
+                if w == h == 1:
+                    continue
+                parts = subdivide(Rect(0, 0, w, h))
+                cells = [rect_cells(*p) for p in parts]
+                groups = [g for k in range(1, len(parts) + 1)
+                          for g in itertools.combinations(range(len(parts)), k)
+                          if flood_connected(set().union(*(cells[i] for i in g)))]
+                for a, b in itertools.product(groups, repeat=2):
+                    if set(a) & set(b):
+                        continue
+                    ua, ub = (MergeUnit([Leaf(i + 1, parts[i], 0, i) for i in g], 0)
+                              for g in (a, b))
+                    assert _units_connected(ua, ub) \
+                        == flood_connected(set().union(*(cells[i] for i in a + b))), (w, h, a, b)
+                    pairs += 1
+        assert pairs == 1464
+
     def test_root_leaf_has_no_partner(self):
-        root = QuadNode(id=0, rect=Rect(0, 0, 3, 3), population=5)
-        tree = QuadTree(root=root, stats=TreeStats(1, 1, 0))
+        tree = QuadTree(leaves={None: [Leaf(0, Rect(0, 0, 3, 3), 5, 0)]},
+                        stats=TreeStats(1, 1, 0))
         units = merge_siblings(tree, 100)[None]
         assert len(units) == 1 and units[0].population == 5
 
@@ -391,7 +439,7 @@ class TestLocate:
         JSON round trip, ids equal the first-match scan's."""
         result = delimit(scenario)
         loaded = result_from_json(result_to_json(result))
-        trees, owners = state_trees(scenario), leaf_owners(result)
+        trees, owners = reference_state_trees(scenario), leaf_owners(result)
         labels = scenario.state_labels
         for cy in range(result.height):
             for cx in range(result.width):
@@ -457,7 +505,7 @@ class TestTreeStats:
         stats = tree_stats(tree)
         assert (stats.nodes, stats.leaves, stats.max_depth) == (21, 16, 2)
         assert (stats.nodes, stats.leaves, stats.max_depth) \
-            == tree_stats_by_traversal(tree)
+            == tree_stats_by_traversal(grid_tree(uniform_scenario()))
 
     def test_leaf_count_equals_pre_merge_pieces(self):
         rng = random.Random(17)
@@ -465,7 +513,7 @@ class TestTreeStats:
             s = random_scenario(rng, max_dim=24, with_states=False)
             tree = build_tree(s.grid, s.people_per_dot, s.threshold)
             assert tree_stats(tree).leaves \
-                == sum(n.is_leaf for n in preorder_nodes(tree))
+                == sum(not n.children for n in preorder_nodes(grid_tree(s)))
 
     def test_recorded_stats_match_traversal(self):
         rng = random.Random(19)
@@ -474,11 +522,11 @@ class TestTreeStats:
             s = random_scenario(rng, max_dim=32)
             result = delimit(s)
             labelled += s.state_labels is not None
-            trees = state_trees(s).values()
-            per_tree = [t.stats for t in trees]
-            for tree in trees:
+            trees, refs = state_trees(s), reference_state_trees(s)
+            per_tree = [t.stats for t in trees.values()]
+            for state, tree in trees.items():
                 assert (tree.stats.nodes, tree.stats.leaves, tree.stats.max_depth) \
-                    == tree_stats_by_traversal(tree)
+                    == tree_stats_by_traversal(refs[state])
             assert result.stats == TreeStats(
                 nodes=sum(st.nodes for st in per_tree),
                 leaves=sum(st.leaves for st in per_tree),
