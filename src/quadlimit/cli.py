@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 bad arguments, 3 malformed or infeasible input data
 (scenario parse errors, bad result files including too deeply nested JSON,
 out-of-bounds points, infeasible apportionments, SVG maps of more dots than
-``render.MAX_SVG_DOTS``), 4 I/O failures. Diagnostics go to stderr, results to
-stdout.
+``render.MAX_SVG_DOTS`` or with a state label that XML 1.0 cannot hold), 4 I/O
+failures. Diagnostics go to stderr, results to stdout.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ constituencies.
 The tree is held as its leaves, a linear quadtree (Gargantini, CACM 1982):
 each ``Leaf`` keeps its id in depth-first, NW-first preorder and its position
 under its parent, and is filed under its parent's id, since merging never
-crosses parents. Inner nodes are only counted, with the depth, while the
-tree grows. Results keep the leaves as constituency rects, which ``locate``
-descends by ``_halves`` from each state's root, the rects' bounding box, in
-memory and after loading alike.
+crosses parents. Inner nodes are only counted, with the depth, while the tree
+grows. A merged unit is the tuple of its leaves in id order; its constituency
+keeps the leaves as rects, which ``locate`` descends by ``_halves`` from each
+state's root, the rects' bounding box, in memory and after loading alike.
 """
 
 from __future__ import annotations
@@ -170,6 +170,7 @@ def build_tree(grid: DotGrid, people_per_dot: int, threshold: int,
                 grow(q, nid, i, depth + 1)
 
     grow(root_rect if root_rect is not None else grid.bounds(), None, 0, 0)
+    del grow  # it holds itself; the cycle would keep the grid and leaves until a gc collection
     stats = TreeStats(nodes=next_id, leaves=sum(map(len, leaves.values())), max_depth=max_depth)
     return QuadTree(leaves=leaves, stats=stats)
 
@@ -179,47 +180,37 @@ def tree_stats(tree: QuadTree) -> TreeStats:
     return tree.stats
 
 
-@dataclass(slots=True)
-class MergeUnit:
-    """A leaf or an agglomeration of merged sibling leaves under one parent,
-    its first leaf the one of lowest id."""
-
-    leaves: list[Leaf]
-    population: int
-
-
-def _units_connected(a: MergeUnit, b: MergeUnit) -> bool:
+def _units_connected(a: tuple[Leaf, ...], b: tuple[Leaf, ...]) -> bool:
     # Siblings tile their parent, so a unit of two or more quadrants borders
     # every other sibling, and two single leaves meet unless they are the
     # diagonal quadrants NW/SE or NE/SW. A strip's halves, 0 and 1, always meet.
-    return len(a.leaves) > 1 or len(b.leaves) > 1 \
-        or a.leaves[0].position + b.leaves[0].position != 3
+    return len(a) > 1 or len(b) > 1 or a[0].position + b[0].position != 3
 
 
-def _merge_leaves(leaves: list[Leaf], threshold: int) -> list[MergeUnit]:
-    units = [MergeUnit([leaf], leaf.population) for leaf in leaves]
+def _merge_leaves(leaves: list[Leaf], threshold: int) -> list[tuple[Leaf, ...]]:
+    units = [(leaf,) for leaf in leaves]
+    pops = [leaf.population for leaf in leaves]
     while True:
         pair = next(((i, j) for i in range(len(units)) for j in range(i + 1, len(units))
-                     if units[i].population + units[j].population <= threshold
+                     if pops[i] + pops[j] <= threshold
                      and _units_connected(units[i], units[j])), None)
         if pair is None:
             return units
         i, j = pair
-        # Folding j into the earlier i keeps each unit's lowest-id leaf first.
-        b = units.pop(j)
-        units[i].leaves.extend(b.leaves)
-        units[i].population += b.population
+        # Folding j into the earlier i keeps the units in first-leaf order.
+        units[i] = tuple(sorted(units[i] + units.pop(j)))
+        pops[i] += pops.pop(j)
 
 
-def merge_siblings(tree: QuadTree, threshold: int) -> dict[int | None, list[MergeUnit]]:
-    """Merge same-parent leaves to a fixpoint.
+def merge_siblings(tree: QuadTree, threshold: int) -> dict[int | None, list[tuple[Leaf, ...]]]:
+    """Merge same-parent leaves to a fixpoint, into tuples of leaves in id order.
 
-    Per parent, candidate pairs are scanned in lexicographic quadrant order
-    (merged units rank by their smallest contained quadrant); the first pair
-    whose combined population fits the threshold and whose union is
-    edge-connected is merged, and the scan restarts. Merging never crosses
-    parents. Keys are parent ids, ``None`` for a root leaf, in the order
-    each parent's first leaf grew, which is not parent preorder.
+    Per parent, candidate pairs are scanned in lexicographic order of the
+    units' first leaves; the first pair whose combined population fits the
+    threshold and whose union is edge-connected is merged, and the scan
+    restarts. Merging never crosses parents. Keys are parent ids, ``None``
+    for a root leaf, in the order each parent's first leaf grew, which is
+    not parent preorder; each parent's units are in first-leaf order.
     """
     return {parent: _merge_leaves(leaves, threshold) for parent, leaves in tree.leaves.items()}
 
@@ -230,7 +221,8 @@ def delimit(scenario: Scenario) -> DelimitationResult:
     With state labels present, each state is delimited independently over its
     bounding region with all other states' dots masked out; constituency ids
     run sequentially across states in sorted label order, and within a state
-    in depth-first order of each constituency's first leaf.
+    in depth-first order of each constituency's first leaf. A constituency
+    is its merge unit's leaves: their rects in id order, their population.
     """
     grid = scenario.grid
     x, th = scenario.people_per_dot, scenario.threshold
@@ -244,12 +236,12 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         # tree; the grid is dropped once the tree is built.
         tree = build_tree(grid if state is None else grid.masked(codes == code), x, th)
         all_stats.append(tree.stats)
-        units = [u for ulist in merge_siblings(tree, th).values() for u in ulist]
-        units.sort(key=lambda u: u.leaves[0].id)
+        # Units compare by their first leaf, whose id no other unit holds.
+        units = sorted(u for us in merge_siblings(tree, th).values() for u in us)
         for cid, unit in enumerate(units, start=len(constituencies) + 1):
-            pop = unit.population
             # Siblings in id order are in (y0, x0) order.
-            shape = tuple(leaf.rect for leaf in sorted(unit.leaves))
+            _, shape, pops, _ = zip(*unit)
+            pop = sum(pops)
             flags = _FLAG_SETS[pop > th, pop == 0]
             constituencies.append(Constituency(cid, shape, pop, flags, state))
 

@@ -9,6 +9,7 @@ as a single outline with no interior lines.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -24,6 +25,8 @@ SVG_NS = "http://www.w3.org/2000/svg"
 MAX_SVG_DOTS = 2**24
 # What a state label needs escaped in a double-quoted XML attribute.
 _ATTRIBUTE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# A character outside XML 1.0's Char, which no escape can carry.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,8 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
                style: RenderStyle = RenderStyle()) -> str:
     """Standalone SVG map: dots, one outline path per constituency, state
     boundaries on top. Byte-identical output for identical inputs. Drawing
-    more than ``MAX_SVG_DOTS`` dots is a ValueError."""
+    more than ``MAX_SVG_DOTS`` dots, or a state label that XML 1.0 cannot
+    hold, is a ValueError."""
     if (grid.width, grid.height) != (result.width, result.height):
         raise ValueError(
             f"result {result.width}x{result.height} does not match "
@@ -115,6 +119,14 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
     if style.draw_dots and grid.total_dots > MAX_SVG_DOTS:
         raise ValueError(f"cannot draw {grid.total_dots} dots in an SVG; "
                          f"the limit is {MAX_SVG_DOTS}")
+    if result.state_labels is not None:
+        codes, names = encode_labels(result.state_labels)
+        for name in filter(_NOT_XML.search, names):
+            raise ValueError(f"state label {name!r} cannot be written in XML")
+        padded = np.zeros((result.height + 2, result.width + 2),
+                          dtype=np.min_scalar_type(len(names)))
+        np.add(codes, 1, out=padded[1:-1, 1:-1], casting="unsafe")
+        del codes
     cell = style.cell_size_px
     w_px, h_px = grid.width * cell, grid.height * cell
     lines = [
@@ -146,11 +158,6 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
     if result.state_labels is not None:
         lines.append(f'  <g id="states" fill="none" stroke="{style.state_color}" '
                      f'stroke-width="{style.state_width}">')
-        codes, names = encode_labels(result.state_labels)
-        padded = np.zeros((result.height + 2, result.width + 2),
-                          dtype=np.min_scalar_type(len(names)))
-        np.add(codes, 1, out=padded[1:-1, 1:-1], casting="unsafe")
-        del codes
         loops = outline_loops(padded)
         for i, state in enumerate(names, 1):
             lines.append(f'    <path id="state-{state.translate(_ATTRIBUTE)}" '

@@ -258,6 +258,18 @@ class TestRenderCommand:
         assert str(2**24 + 1) in capsys.readouterr().err
         assert not out.exists() and not svg.exists()
 
+    @pytest.mark.parametrize("label", ["A\0", "A\x01"])
+    def test_label_xml_cannot_hold_is_exit_3(self, tmp_path, capsys, label):
+        scen = tmp_path / "s.txt"
+        scen.write_text(f"2 1 1 10\n1 1\nSTATES\n{label} B\n")
+        out, svg = tmp_path / "r.json", tmp_path / "map.svg"
+        assert run(["delimit", str(scen), "--out", str(out), "--svg", str(svg)]) == 3
+        assert f"state label {label!r}" in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
+        assert run(["delimit", str(scen), "--out", str(out)]) == 0
+        assert run(["render", str(scen), "--result", str(out), "--out", str(svg)]) == 3
+        assert not svg.exists()
+
     def test_failed_svg_write_removes_result(self, grid16, tmp_path, capsys):
         out, svg = tmp_path / "r.json", tmp_path / "missing-dir" / "map.svg"
         assert run(["delimit", grid16, "--out", str(out), "--svg", str(svg)]) == 4

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
@@ -12,12 +13,12 @@ from quadlimit import Constituency, DotGrid, Leaf, QuadTree, Rect, ResultFormatE
     Scenario, TreeStats, build_tree, delimit, load_scenario, locate, \
     locate_with_visits, merge_siblings, paint_cells, result_from_json, \
     result_to_json, subdivide, tree_stats
-from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, MergeUnit, _units_connected
+from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, _units_connected
 
 from helpers import DEEP_JSON, NUL_LABELS_TEXT, THREE_BY_ONE, random_l_labels, \
     random_scenario, random_staircase_labels, scenario_text
-from oracles import containment_scan, enumerate_merge_outcomes, flood_connected, \
-    leaf_owners, oracle_delimit, preorder_nodes, rect_cells, reference_leaves, \
+from oracles import _merge_fixpoint, containment_scan, enumerate_merge_outcomes, \
+    flood_connected, leaf_owners, oracle_delimit, preorder_nodes, rect_cells, reference_leaves, \
     reference_state_trees, reference_tree, result_to_dict, state_trees, \
     tree_stats_by_traversal, tree_walk_locate
 
@@ -79,7 +80,7 @@ class TestBuildTree:
         tree = build_tree(grid, 500, 1000)
         assert tree.leaves == {None: [Leaf(0, Rect(0, 0, 2, 2), 500, 0)]}
         assert tree.stats == TreeStats(1, 1, 0)
-        assert [u.leaves for u in merge_siblings(tree, 1000)[None]] == [tree.leaves[None]]
+        assert merge_siblings(tree, 1000)[None] == [tuple(tree.leaves[None])]
 
     def test_all_zero_grid_single_leaf(self):
         tree = build_tree(DotGrid([[0] * 4 for _ in range(4)]), 500, 1)
@@ -119,9 +120,9 @@ class TestBuildTree:
         tree = build_tree(s.grid, s.people_per_dot, s.threshold)
         merged = merge_siblings(tree, s.threshold)
         registered = [leaf.id for units in merged.values()
-                      for u in units for leaf in u.leaves]
+                      for u in units for leaf in u]
         assert len(set(registered)) == len(registered)
-        assert {parent: sorted(leaf for u in units for leaf in u.leaves)
+        assert {parent: sorted(leaf for u in units for leaf in u)
                 for parent, units in merged.items()} == reference_leaves(grid_tree(s))
 
     def test_node_ids_are_depth_first_preorder(self):
@@ -133,6 +134,17 @@ class TestBuildTree:
             assert [n.id for n in order] == list(range(tree.stats.nodes))
             leaf_ids = [leaf.id for leaves in tree.leaves.values() for leaf in leaves]
             assert sorted(leaf_ids) == [n.id for n in order if not n.children]
+
+    def test_dropped_tree_needs_no_cyclic_collection(self):
+        # A masked grid and its leaves are freed as soon as the tree is dropped.
+        grid = uniform_scenario().grid.masked(np.ones((16, 16), dtype=bool))
+        gc.collect()
+        gc.disable()
+        try:
+            build_tree(grid, 100, 1600)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_over_capacity_cell_becomes_leaf(self):
         tree = build_tree(DotGrid([[3, 3], [3, 3]]), 500, 1000)
@@ -180,7 +192,11 @@ def make_parent_with_leaves(pops, rect=Rect(0, 0, 2, 2)):
 
 
 def leaf_ids(unit):
-    return [leaf.id for leaf in unit.leaves]
+    return [leaf.id for leaf in unit]
+
+
+def population(unit):
+    return sum(leaf.population for leaf in unit)
 
 
 class TestMergeSiblings:
@@ -195,7 +211,7 @@ class TestMergeSiblings:
         assert expected in outcomes
 
         units = merge_siblings(tree, 1000)[0]
-        got = frozenset((frozenset(leaf_ids(u)), u.population) for u in units)
+        got = frozenset((frozenset(leaf_ids(u)), population(u)) for u in units)
         assert got == frozenset({(frozenset({1, 2}), 600),
                                  (frozenset({3}), 900), (frozenset({4}), 900)})
 
@@ -203,20 +219,20 @@ class TestMergeSiblings:
         tree = make_parent_with_leaves([0, 0, 0, 0])
         units = merge_siblings(tree, 1)[0]
         assert len(units) == 1
-        assert {c for leaf in units[0].leaves for c in leaf.rect.cells()} \
+        assert {c for leaf in units[0] for c in leaf.rect.cells()} \
             == rect_cells(0, 0, 2, 2)
-        assert units[0].population == 0
+        assert population(units[0]) == 0
 
     def test_no_eligible_pair_is_noop(self):
         tree = make_parent_with_leaves([600, 600, 600, 600])
         units = merge_siblings(tree, 1000)[0]
         assert len(units) == 4
-        assert all(len(u.leaves) == 1 for u in units)
+        assert all(len(u) == 1 for u in units)
 
     def test_merged_unit_keeps_merging(self):
         tree = make_parent_with_leaves([100, 100, 100, 900])
         units = merge_siblings(tree, 350)[0]
-        got = sorted((sorted(leaf_ids(u)), u.population) for u in units)
+        got = sorted((sorted(leaf_ids(u)), population(u)) for u in units)
         assert got == [([1, 2, 3], 300), ([4], 900)]
 
     def test_diagonal_pair_never_merges(self):
@@ -240,7 +256,7 @@ class TestMergeSiblings:
                 for a, b in itertools.product(groups, repeat=2):
                     if set(a) & set(b):
                         continue
-                    ua, ub = (MergeUnit([Leaf(i + 1, parts[i], 0, i) for i in g], 0)
+                    ua, ub = (tuple(Leaf(i + 1, parts[i], 0, i) for i in g)
                               for g in (a, b))
                     assert _units_connected(ua, ub) \
                         == flood_connected(set().union(*(cells[i] for i in a + b))), (w, h, a, b)
@@ -251,7 +267,31 @@ class TestMergeSiblings:
         tree = QuadTree(leaves={None: [Leaf(0, Rect(0, 0, 3, 3), 5, 0)]},
                         stats=TreeStats(1, 1, 0))
         units = merge_siblings(tree, 100)[None]
-        assert len(units) == 1 and units[0].population == 5
+        assert len(units) == 1 and population(units[0]) == 5
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
+           st.randoms(use_true_random=False))
+    @example(1, 11, 1, random.Random(0))
+    @example(9, 1, 2, random.Random(1))
+    @example(7, 5, 1, random.Random(2))
+    @settings(max_examples=200, deadline=None)
+    def test_units_match_merge_fixpoint(self, w, h, x, rng):
+        counts = [[rng.choice([0, 0, 1, 3, 9]) for _ in range(w)] for _ in range(h)]
+        th = rng.randint(1, x * sum(map(sum, counts)) + 1)
+        tree = build_tree(DotGrid(counts), x, th)
+        merged = merge_siblings(tree, th)
+        assert list(merged) == list(tree.leaves)
+        for parent, leaves in tree.leaves.items():
+            units = merged[parent]
+            for u in units:
+                assert type(u) is tuple and leaf_ids(u) == sorted(leaf_ids(u))
+            assert [u[0].id for u in units] == sorted(u[0].id for u in units)
+            ref = _merge_fixpoint([(leaf.position, rect_cells(*leaf.rect), leaf.population)
+                                   for leaf in leaves], th)
+            # Leaves tile their parent, so a unit's cells give back its leaves.
+            assert [(leaf_ids(u), population(u)) for u in units] == [
+                ([leaf.id for leaf in leaves if rect_cells(*leaf.rect) <= r["cells"]], r["pop"])
+                for r in ref]
 
 
 class TestDelimit:

@@ -217,6 +217,15 @@ class TestRenderSvg:
         assert [i for i in ids if i.startswith("state-")] == [f"state-{lab}" for lab in s.states]
         assert 'id="state-c\'d"' in svg
 
+    @pytest.mark.parametrize("text", [NUL_LABELS_TEXT, "2 1 1 10\n1 1\nSTATES\nA\x01 B\n"])
+    def test_label_xml_cannot_hold_is_refused(self, text):
+        # XML 1.0 has no escape for U+0000-U+0008 and U+000E-U+001F; the
+        # label is refused before any output is built.
+        s = load_scenario(text)
+        bad = next(label for label in s.states if re.search("[\0-\x08]", label))
+        with pytest.raises(ValueError, match=re.escape(f"state label {bad!r}")):
+            render_svg(delimit(s), s.grid)
+
     def test_dot_limit(self, monkeypatch):
         dense = DotGrid([[2**24 + 1]])
         result = delimit(Scenario(grid=dense, people_per_dot=1, threshold=2**25))
