@@ -5,6 +5,9 @@ Exit codes: 0 success, 2 bad arguments, 3 malformed or infeasible input data
 out-of-bounds points, infeasible apportionments, SVG maps of more dots than
 ``render.MAX_SVG_DOTS`` or with a state label that XML 1.0 cannot hold), 4 I/O
 failures. Diagnostics go to stderr, results to stdout.
+
+``locate`` and ``apportion`` read no raster, so they run without numpy: the
+commands that read a scenario import ``popgrid`` and ``render`` when they run.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .apportion import METHOD_ORDER, METHODS, StateRecord, compare_methods, \
     parse_populations, parse_populations_file
-from .popgrid import Scenario, load_scenario_file
 from .quadtree import delimit, locate, result_from_json, result_to_json
-from .render import RenderStyle, render_svg
+
+if TYPE_CHECKING:
+    from .popgrid import Scenario
 
 
 def _positive_int(text: str) -> int:
@@ -40,6 +45,8 @@ def _point(text: str) -> tuple[int, int]:
 
 
 def _load_scenario(args) -> Scenario:
+    from .popgrid import load_scenario_file
+
     scenario = load_scenario_file(args.scenario)
     overrides = {}
     if getattr(args, "threshold", None) is not None:
@@ -69,6 +76,8 @@ def _resolve_populations(spec: str) -> list[StateRecord]:
 
 
 def cmd_delimit(args) -> int:
+    from .render import RenderStyle, render_svg
+
     scenario = _load_scenario(args)
     result = delimit(scenario)
     # The SVG is built first: if it is refused, neither file is written.
@@ -104,6 +113,8 @@ def cmd_locate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import RenderStyle, render_svg
+
     scenario = _load_scenario(args)
     result = dataclasses.replace(result_from_json(_read(args.result)),
                                  state_labels=scenario.state_labels)

@@ -9,7 +9,8 @@ rejected rather than left to wrap.
 
 Coordinates follow the image convention: origin at the top-left corner,
 x grows rightward (columns), y grows downward (rows). All quantities are
-integers; population arithmetic never touches floating point.
+integers; population arithmetic never touches floating point. ``Rect``, the
+cell rectangle, is defined in ``quadtree`` and importable from here.
 
 Scenario text is read in numpy. A count block made only of ASCII digits,
 spaces and tabs goes through ``np.loadtxt``; any other block, and any block
@@ -27,9 +28,10 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
+
+from .quadtree import Rect
 
 INT64_MAX = 2**63 - 1
 # Everything but these bytes sends a count block to the token-by-token reader.
@@ -50,40 +52,6 @@ class ScenarioError(ValueError):
         super().__init__(message + where)
         self.line = line
         self.column = column
-
-
-class _RectFields(NamedTuple):
-    x0: int
-    y0: int
-    w: int
-    h: int
-
-
-class Rect(_RectFields):
-    """Axis-aligned cell rectangle: columns [x0, x0+w), rows [y0, y0+h).
-
-    A validated ``(x0, y0, w, h)`` tuple, so it unpacks, orders and serves as
-    a dict key as that tuple. ``_make`` and ``_replace`` skip the checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x0: int, y0: int, w: int, h: int):
-        if w < 1 or h < 1:
-            raise ValueError(f"empty rectangle {(x0, y0, w, h)}")
-        if x0 < 0 or y0 < 0:
-            raise ValueError(f"negative origin in {(x0, y0, w, h)}")
-        return tuple.__new__(cls, (x0, y0, w, h))
-
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
-    def cells(self):
-        """Yield (x, y) for every cell in the rectangle, row-major."""
-        for y in range(self.y0, self.y0 + self.h):
-            for x in range(self.x0, self.x0 + self.w):
-                yield x, y
 
 
 def build_sat(counts) -> np.ndarray:

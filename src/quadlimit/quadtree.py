@@ -14,6 +14,10 @@ crosses parents. Inner nodes are only counted, with the depth, while the tree
 grows. A merged unit is the tuple of its leaves in id order; its constituency
 keeps the leaves as rects, which ``locate`` descends by ``_halves`` from each
 state's root, the rects' bounding box, in memory and after loading alike.
+
+``Rect`` is defined here, and the module loads without numpy or ``popgrid``:
+results are read, written and queried in plain Python, and only
+``paint_cells`` imports numpy.
 """
 
 from __future__ import annotations
@@ -21,15 +25,50 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .popgrid import DotGrid, Rect, Scenario, encode_labels
+    from .popgrid import DotGrid, Scenario
 
 
 class ResultFormatError(ValueError):
     """Raised when a serialized result document is malformed."""
+
+
+class _RectFields(NamedTuple):
+    x0: int
+    y0: int
+    w: int
+    h: int
+
+
+class Rect(_RectFields):
+    """Axis-aligned cell rectangle: columns [x0, x0+w), rows [y0, y0+h).
+
+    A validated ``(x0, y0, w, h)`` tuple, so it unpacks, orders and serves as
+    a dict key as that tuple. ``_make`` and ``_replace`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x0: int, y0: int, w: int, h: int):
+        if w < 1 or h < 1:
+            raise ValueError(f"empty rectangle {(x0, y0, w, h)}")
+        if x0 < 0 or y0 < 0:
+            raise ValueError(f"negative origin in {(x0, y0, w, h)}")
+        return tuple.__new__(cls, (x0, y0, w, h))
+
+    @property
+    def area(self) -> int:
+        return self.w * self.h
+
+    def cells(self):
+        """Yield (x, y) for every cell in the rectangle, row-major."""
+        for y in range(self.y0, self.y0 + self.h):
+            for x in range(self.x0, self.x0 + self.w):
+                yield x, y
 
 
 class Leaf(NamedTuple):
@@ -301,6 +340,10 @@ def paint_cells(result: DelimitationResult) -> np.ndarray:
     bounding box, not to the constituency, and are skipped. Unowned cells
     (impossible for a valid result) stay 0.
     """
+    import numpy as np
+
+    from .popgrid import encode_labels
+
     owner = np.zeros((result.height, result.width), dtype=np.int64)
     if result.state_labels is not None:
         # Int codes keep labels exact; numpy's fixed-width strings drop trailing NULs.

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from quadlimit import DotGrid, Scenario, StateRecord
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code: str, *args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a new interpreter that imports quadlimit
+    from this checkout, so no module of an earlier test is loaded."""
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
 
 
 def random_counts(rng: random.Random, width: int, height: int,

@@ -6,7 +6,17 @@ import pytest
 from quadlimit import cli, load_scenario, render_svg, result_to_json, delimit
 from quadlimit.render import RenderStyle
 
-from helpers import DEEP_JSON, THREE_BY_ONE, scenario_text
+from helpers import DEEP_JSON, THREE_BY_ONE, fresh_python, scenario_text
+
+# cli.main in a new interpreter; the last line of stderr lists the raster
+# modules that the command loaded.
+FRESH_MAIN = """
+import sys
+from quadlimit import cli
+code = cli.main(sys.argv[1:])
+print(sorted({"numpy", "quadlimit.popgrid"} & set(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 @pytest.fixture
@@ -326,6 +336,43 @@ class TestStatsCommand:
         assert run(["stats", grid16]) == 0
         assert capsys.readouterr().out == (
             "nodes: 21\nleaves: 16\nmaxDepth: 2\nconstituencies: 16\n")
+
+
+class TestFreshProcess:
+    """A command run alone loads only what it needs, and prints what it
+    prints in a process that has loaded everything."""
+
+    def run_fresh(self, args, capsys) -> str:
+        assert run(args) == 0
+        expected = capsys.readouterr().out
+        done = fresh_python(FRESH_MAIN, *args)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
+        return done.stderr.splitlines()[-1]
+
+    def test_locate_loads_no_numpy(self, four_states, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["delimit", four_states, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for point in ("0,0", "3,0"):
+            assert self.run_fresh(["locate", "--result", str(out), "--point", point],
+                                  capsys) == "[]"
+
+    def test_apportion_loads_no_numpy(self, capsys):
+        assert self.run_fresh(["apportion", "--method", "webster", "--seats", "20",
+                               "--pops", TestApportionCommand.POPS], capsys) == "[]"
+
+    def test_delimit_still_works(self, four_states, tmp_path, capsys):
+        assert run(["delimit", four_states, "--out", str(tmp_path / "a.json"),
+                    "--svg", str(tmp_path / "a.svg")]) == 0
+        expected = capsys.readouterr().out
+        done = fresh_python(FRESH_MAIN, "delimit", four_states, "--out", str(tmp_path / "b.json"),
+                            "--svg", str(tmp_path / "b.svg"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
+        assert done.stderr.splitlines()[-1] == "['numpy', 'quadlimit.popgrid']"
+        for suffix in ("json", "svg"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
 
 
 def test_no_subcommand_is_usage_error():
