@@ -21,8 +21,9 @@ _EXPORTS = {
     ),
     "quadtree": (
         "Constituency", "DelimitationResult", "Leaf", "QuadTree", "Rect", "ResultFormatError",
-        "TreeStats", "build_tree", "delimit", "locate", "locate_with_visits", "merge_siblings",
-        "paint_cells", "result_from_json", "result_to_json", "subdivide", "tree_stats",
+        "TreeStats", "build_tree", "check_result", "delimit", "locate", "locate_with_visits",
+        "merge_siblings", "paint_cells", "result_from_json", "result_to_json", "subdivide",
+        "tree_stats",
     ),
     "render": ("RenderStyle", "boundary_loops", "render_ascii_grid", "render_svg"),
 }

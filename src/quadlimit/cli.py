@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 bad arguments, 3 malformed or infeasible input data
-(scenario parse errors, bad result files including too deeply nested JSON,
-out-of-bounds points, infeasible apportionments, SVG maps of more dots than
-``render.MAX_SVG_DOTS`` or with a state label that XML 1.0 cannot hold), 4 I/O
-failures. Diagnostics go to stderr, results to stdout.
+(scenario parse errors, bad result files including too deeply nested JSON and
+results that ``check_result`` refuses, out-of-bounds points, infeasible
+apportionments, SVG maps of more dots than ``render.MAX_SVG_DOTS`` or with a
+state label that XML 1.0 cannot hold), 4 I/O failures. Diagnostics go to
+stderr, results to stdout.
 
 ``locate`` and ``apportion`` read no raster, so they run without numpy: the
 commands that read a scenario import ``popgrid`` and ``render`` when they run.
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .apportion import METHOD_ORDER, METHODS, StateRecord, compare_methods, \
     parse_populations, parse_populations_file
-from .quadtree import delimit, locate, result_from_json, result_to_json
+from .quadtree import check_result, delimit, locate, result_from_json, result_to_json
 
 if TYPE_CHECKING:
     from .popgrid import Scenario
@@ -76,12 +77,12 @@ def _resolve_populations(spec: str) -> list[StateRecord]:
 
 
 def cmd_delimit(args) -> int:
-    from .render import RenderStyle, render_svg
+    from .render import render_svg
 
     scenario = _load_scenario(args)
     result = delimit(scenario)
     # The SVG is built first: if it is refused, neither file is written.
-    svg = args.svg and render_svg(result, scenario.grid, RenderStyle())
+    svg = args.svg and render_svg(result, scenario.grid)
     if args.out:
         _write(args.out, result_to_json(result))
     if args.svg:
@@ -106,6 +107,7 @@ def cmd_apportion(args) -> int:
 
 def cmd_locate(args) -> int:
     result = result_from_json(_read(args.result))
+    check_result(result)
     cx, cy = args.point
     found = locate(result, cx, cy)
     print(f"c{found.id} {found.population}")
@@ -113,12 +115,13 @@ def cmd_locate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .render import RenderStyle, render_svg
+    from .render import render_svg
 
     scenario = _load_scenario(args)
-    result = dataclasses.replace(result_from_json(_read(args.result)),
-                                 state_labels=scenario.state_labels)
-    _write(args.out, render_svg(result, scenario.grid, RenderStyle()))
+    result = result_from_json(_read(args.result))
+    check_result(result)
+    result = dataclasses.replace(result, state_labels=scenario.state_labels)
+    _write(args.out, render_svg(result, scenario.grid))
     return 0
 
 

@@ -466,3 +466,18 @@ def result_from_json(text: str) -> DelimitationResult:
 
     return DelimitationResult(constituencies, doc["threshold"], doc["peoplePerDot"], width, height,
                               TreeStats(stats["nodes"], stats["leaves"], stats["maxDepth"]))
+
+
+def check_result(result: DelimitationResult) -> None:
+    """Raise ``ResultFormatError`` naming the first rule, of those every
+    ``delimit`` result keeps, that a loaded result breaks: each constituency's
+    flags, in id order, are those its population and the threshold give; then
+    nodes >= leaves >= count."""
+    for c in result.constituencies:
+        flags = _FLAG_SETS[c.population > result.threshold, c.population == 0]
+        if c.flags != flags:
+            raise ResultFormatError(f"constituency #{c.id}: flags must be {sorted(flags)} for "
+                                    f"population {c.population} at threshold {result.threshold}")
+    s = result.stats
+    _require(s.nodes >= s.leaves >= result.count, "stats must have nodes >= leaves >= count, "
+             "got nodes %d, leaves %d, count %d", s.nodes, s.leaves, result.count)

@@ -1,9 +1,9 @@
 """SVG and ASCII views of delimitation results.
 
-Outlines follow cell edges and all come from ``popgrid.outline_loops``, run
-on rasters of constituency ids and of state codes. Edges inside a
-constituency make no corner, so merged, non-rectangular constituencies render
-as a single outline with no interior lines.
+The SVG draws black dots of radius 3 px on white, constituencies in black 2 px
+and states in blue 3 px outlines. All come from ``popgrid.outline_loops`` on
+rasters of constituency ids and of state codes, along cell edges: edges inside
+a constituency make no corner, so a merged one renders as a single outline.
 """
 
 from __future__ import annotations
@@ -31,20 +31,14 @@ _NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 @dataclass(frozen=True)
 class RenderStyle:
+    """The SVG's two settings: a cell's side in pixels, and whether dots are drawn."""
+
     cell_size_px: int = 24
-    constituency_color: str = "black"
-    constituency_width: int = 2
-    state_color: str = "blue"
-    state_width: int = 3
-    dot_radius_px: int = 3
     draw_dots: bool = True
-    background: str = "white"
 
     def __post_init__(self):
         if self.cell_size_px < 1:
             raise ValueError("cell_size_px must be >= 1")
-        if self.constituency_width < 1 or self.state_width < 1:
-            raise ValueError("stroke widths must be >= 1")
 
 
 def boundary_loops(cells: set[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -133,7 +127,7 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="{SVG_NS}" width="{w_px}" height="{h_px}" '
         f'viewBox="0 0 {w_px} {h_px}">',
-        f'  <rect width="{w_px}" height="{h_px}" fill="{style.background}"/>',
+        f'  <rect width="{w_px}" height="{h_px}" fill="white"/>',
     ]
 
     if style.draw_dots:
@@ -144,20 +138,16 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
             for p in range(k):
                 cx = (x + (p % side + 0.5) / side) * cell
                 cy = (y + (p // side + 0.5) / side) * cell
-                lines.append(f'    <circle cx="{cx:.2f}" cy="{cy:.2f}" '
-                             f'r="{style.dot_radius_px}"/>')
+                lines.append(f'    <circle cx="{cx:.2f}" cy="{cy:.2f}" r="3"/>')
         lines.append("  </g>")
 
-    lines.append(f'  <g id="constituencies" fill="none" '
-                 f'stroke="{style.constituency_color}" '
-                 f'stroke-width="{style.constituency_width}">')
+    lines.append('  <g id="constituencies" fill="none" stroke="black" stroke-width="2">')
     for c, loops in zip(result.constituencies, _constituency_loops(result)):
         lines.append(f'    <path id="c{c.id}" d="{_loops_to_path(loops, cell)}"/>')
     lines.append("  </g>")
 
     if result.state_labels is not None:
-        lines.append(f'  <g id="states" fill="none" stroke="{style.state_color}" '
-                     f'stroke-width="{style.state_width}">')
+        lines.append('  <g id="states" fill="none" stroke="blue" stroke-width="3">')
         loops = outline_loops(padded)
         for i, state in enumerate(names, 1):
             lines.append(f'    <path id="state-{state.translate(_ATTRIBUTE)}" '

@@ -141,6 +141,20 @@ THREE_BY_ONE = {
     "stats": {"nodes": 3, "leaves": 2, "maxDepth": 1},
 }
 
+# A document that loads but that ``delimit`` cannot write, on the 3x1 map
+# ``REPRO_MAP``: population 3 under threshold 5 carries both flags, and the
+# stats count fewer nodes than leaves. With its flags emptied, only the stats
+# rule is broken.
+REPRO_MAP = "3 1 1 5\n1 1 1\n"
+FLAGS_AND_STATS_BROKEN = {
+    "count": 1, "threshold": 5, "peoplePerDot": 1,
+    "constituencies": [
+        {"id": 1, "population": 3, "flags": ["overCapacity", "zeroPopulation"],
+         "rects": [[0, 0, 3, 1], [0, 0, 3, 1]]},
+    ],
+    "stats": {"nodes": 0, "leaves": 9, "maxDepth": 0},
+}
+
 # Nested deeper than ``json.loads`` can recurse: it raises RecursionError.
 DEEP_JSON = "[" * 100000 + "]" * 100000
 

@@ -231,8 +231,7 @@ def test_criterion_11_large_grid_performance():
 
 
 def test_criterion_12_svg_round_trip_50_scenarios():
-    flat = RenderStyle(cell_size_px=1, constituency_width=1, state_width=1,
-                       draw_dots=False)
+    flat = RenderStyle(cell_size_px=1, draw_dots=False)
     rng = random.Random(1200)
     merged_seen = 0
     scenarios = [load_scenario(scenario_text(

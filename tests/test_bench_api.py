@@ -87,6 +87,18 @@ def test_outline_and_render_calls(labeller):
         assert svg_constituency_paths(bare) == svg_constituency_paths(full)
 
 
+@pytest.mark.parametrize("draw_dots", [False, True])
+def test_render_style_calls(draw_dots):
+    # A style per workload, the same style without dots, and the default cell size.
+    s = scenarios(random_l_labels, 99, n=1)[0]
+    result = delimit(s)
+    style = RenderStyle(draw_dots=draw_dots)
+    assert ('<g id="dots"' in render_svg(result, s.grid, style)) == draw_dots
+    no_dots = render_svg(result, s.grid, dataclasses.replace(style, draw_dots=False))
+    assert 'id="dots"' not in no_dots and 'id="states"' in no_dots
+    assert RenderStyle().cell_size_px == 24
+
+
 @pytest.mark.parametrize("labeller", LABELLERS)
 def test_scenario_from_state_labels(labeller):
     for s in scenarios(labeller, 95, n=6):

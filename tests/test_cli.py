@@ -6,7 +6,8 @@ import pytest
 from quadlimit import cli, load_scenario, render_svg, result_to_json, delimit
 from quadlimit.render import RenderStyle
 
-from helpers import DEEP_JSON, THREE_BY_ONE, fresh_python, scenario_text
+from helpers import DEEP_JSON, FLAGS_AND_STATS_BROKEN, REPRO_MAP, THREE_BY_ONE, fresh_python, \
+    scenario_text
 
 # cli.main in a new interpreter; the last line of stderr lists the raster
 # modules that the command loaded.
@@ -293,6 +294,34 @@ class TestRenderCommand:
         run(["delimit", grid16, "--out", str(out)])
         assert run(["render", str(small), "--result", str(out),
                     "--out", str(tmp_path / "x.svg")]) == 3
+
+
+# (result document, scenario of its size, the message of the first rule it breaks)
+UNCHECKED_RESULTS = [
+    (FLAGS_AND_STATS_BROKEN, REPRO_MAP,
+     "constituency #1: flags must be [] for population 3 at threshold 5"),
+    (dict(FLAGS_AND_STATS_BROKEN, constituencies=[
+        dict(FLAGS_AND_STATS_BROKEN["constituencies"][0], flags=[])]), REPRO_MAP,
+     "stats must have nodes >= leaves >= count, got nodes 0, leaves 9, count 1"),
+    ({"count": 1, "threshold": 10, "peoplePerDot": 1,
+      "constituencies": [{"id": 1, "population": 3, "flags": ["overCapacity"],
+                          "rects": [[0, 0, 1, 1]]}],
+      "stats": {"nodes": 1, "leaves": 1, "maxDepth": 0}}, "1 1 1 10\n3\n",
+     "constituency #1: flags must be [] for population 3 at threshold 10"),
+]
+
+
+@pytest.mark.parametrize("doc, scenario, message", UNCHECKED_RESULTS,
+                         ids=["flags", "stats", "over-capacity-flag"])
+def test_result_delimit_cannot_write_is_exit_3(tmp_path, capsys, doc, scenario, message):
+    result, scen, svg = tmp_path / "r.json", tmp_path / "s.txt", tmp_path / "map.svg"
+    result.write_text(json.dumps(doc))
+    scen.write_text(scenario)
+    assert run(["locate", "--result", str(result), "--point", "0,0"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run(["render", str(scen), "--result", str(result), "--out", str(svg)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not svg.exists()
 
 
 class TestCompareCommand:

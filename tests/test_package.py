@@ -20,10 +20,11 @@ from helpers import fresh_python, scenario_text
 PUBLIC_NAMES = [
     "ApportionmentError", "ApportionmentResult", "Constituency", "DelimitationResult", "DotGrid",
     "Leaf", "QuadTree", "Rect", "RenderStyle", "ResultFormatError", "Scenario", "ScenarioError",
-    "StateRecord", "TreeStats", "boundary_loops", "build_sat", "build_tree", "compare_methods",
-    "delimit", "hamilton", "huntington_hill", "jefferson", "load_scenario", "load_scenario_file",
-    "locate", "locate_with_visits", "merge_siblings", "paint_cells", "render_ascii_grid",
-    "render_svg", "result_from_json", "result_to_json", "subdivide", "tree_stats", "webster",
+    "StateRecord", "TreeStats", "boundary_loops", "build_sat", "build_tree", "check_result",
+    "compare_methods", "delimit", "hamilton", "huntington_hill", "jefferson", "load_scenario",
+    "load_scenario_file", "locate", "locate_with_visits", "merge_siblings", "paint_cells",
+    "render_ascii_grid", "render_svg", "result_from_json", "result_to_json", "subdivide",
+    "tree_stats", "webster",
 ]
 
 # In a new interpreter: no public name is bound before its first use, each is

@@ -10,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlimit import Constituency, DotGrid, Leaf, QuadTree, Rect, ResultFormatError, \
-    Scenario, TreeStats, build_tree, delimit, load_scenario, locate, \
+    Scenario, TreeStats, build_tree, check_result, delimit, load_scenario, locate, \
     locate_with_visits, merge_siblings, paint_cells, result_from_json, \
     result_to_json, subdivide, tree_stats
 from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, _units_connected
 
 from helpers import DEEP_JSON, NUL_LABELS_TEXT, THREE_BY_ONE, random_l_labels, \
     random_scenario, random_staircase_labels, scenario_text
+from test_golden import GOLDEN, NON_RECT_GOLDEN, RING_COUNTS, RING_LABELS
 from oracles import _merge_fixpoint, containment_scan, enumerate_merge_outcomes, \
     flood_connected, leaf_owners, oracle_delimit, preorder_nodes, rect_cells, reference_leaves, \
     reference_state_trees, reference_tree, result_to_dict, state_trees, \
@@ -745,3 +746,50 @@ class TestPartitionInvariants:
                     assert len(c.shape) == 1 and c.shape[0].area == 1
                 else:
                     assert c.population <= s.threshold
+
+
+class TestCheckResult:
+    def test_first_constituency_in_id_order_is_named(self):
+        result = delimit(uniform_scenario())
+        assert [c.flags for c in result.constituencies] == [frozenset()] * 16
+        cs = list(result.constituencies)
+        cs[4] = dataclasses.replace(cs[4], flags=frozenset({OVER_CAPACITY}))
+        cs[8] = dataclasses.replace(cs[8], flags=frozenset({ZERO_POPULATION}))
+        with pytest.raises(ResultFormatError, match=r"^constituency #5: flags must be \[\]"):
+            check_result(dataclasses.replace(result, constituencies=cs))
+        cs = list(result.constituencies)
+        cs[0] = dataclasses.replace(cs[0], population=1601)
+        with pytest.raises(ResultFormatError, match=r"flags must be \['overCapacity'\]"):
+            check_result(dataclasses.replace(result, constituencies=cs))
+        cs[0] = dataclasses.replace(cs[0], population=0)
+        with pytest.raises(ResultFormatError, match=r"flags must be \['zeroPopulation'\]"):
+            check_result(dataclasses.replace(result, constituencies=cs))
+
+    @pytest.mark.parametrize("nodes, leaves, ok", [(16, 16, True), (21, 16, True),
+                                                   (21, 15, False), (15, 16, False)])
+    def test_stats_rule(self, nodes, leaves, ok):
+        result = dataclasses.replace(delimit(uniform_scenario()),
+                                     stats=TreeStats(nodes, leaves, 2))
+        if ok:
+            check_result(result)
+        else:
+            with pytest.raises(ResultFormatError, match="nodes >= leaves >= count"):
+                check_result(result)
+
+    def test_every_document_delimit_writes_passes(self):
+        scenarios = [load_scenario(scenario_text(RING_COUNTS, 10, 60,
+                                                 [r.split() for r in RING_LABELS]))]
+        rng = random.Random(5005)
+        scenarios += [random_scenario(rng, max_dim=24, with_states=i % 2 == 1)
+                      for i in range(len(GOLDEN))]
+        rng = random.Random(7007)
+        scenarios += [random_scenario(rng, max_dim=24, with_states=True, min_dim=6,
+                                      labeller=random_l_labels if i % 2 else random_staircase_labels)
+                      for i in range(len(NON_RECT_GOLDEN))]
+        rng = random.Random(2020)
+        scenarios += [random_scenario(rng, max_dim=24, with_states=i % 2 == 1)
+                      for i in range(200)]
+        for s in scenarios:
+            result = delimit(s)
+            check_result(result)
+            check_result(result_from_json(result_to_json(result)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -17,8 +18,7 @@ from helpers import NUL_LABELS_TEXT, random_scenario, scenario_text
 from oracles import boundary_edge_set, boundary_loops_reference, path_edge_set, \
     rasterize_path, rect_cells, svg_constituency_paths
 
-FLAT = RenderStyle(cell_size_px=1, constituency_width=1, state_width=1,
-                   dot_radius_px=1, draw_dots=False)
+FLAT = RenderStyle(cell_size_px=1, draw_dots=False)
 
 
 def l_shaped_scenario():
@@ -268,10 +268,11 @@ class TestRenderStyleValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             RenderStyle(cell_size_px=0)
-        with pytest.raises(ValueError):
-            RenderStyle(constituency_width=0)
-        with pytest.raises(ValueError):
-            RenderStyle(state_width=0)
+
+    def test_only_cell_size_and_dots_are_settable(self):
+        assert [f.name for f in dataclasses.fields(RenderStyle)] == ["cell_size_px", "draw_dots"]
+        with pytest.raises(TypeError):
+            RenderStyle(background="white")
 
 
 class TestRenderAscii:
