@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-METHOD_ORDER = ("hamilton", "jefferson", "webster", "huntington-hill")
-
-
 class ApportionmentError(ValueError):
     """Raised for infeasible or malformed apportionment inputs."""
 
@@ -173,7 +170,7 @@ METHODS: dict[str, Callable[[list[StateRecord], int], ApportionmentResult]] = {
 
 def compare_methods(states: list[StateRecord], house_size: int) -> dict[str, ApportionmentResult]:
     """All four methods on the same input, keyed by method name."""
-    return {name: METHODS[name](states, house_size) for name in METHOD_ORDER}
+    return {name: method(states, house_size) for name, method in METHODS.items()}
 
 
 def parse_populations(spec: str) -> list[StateRecord]:

@@ -19,7 +19,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .apportion import METHOD_ORDER, METHODS, StateRecord, compare_methods, \
+from .apportion import METHODS, StateRecord, compare_methods, \
     parse_populations, parse_populations_file
 from .quadtree import check_result, delimit, locate, result_from_json, result_to_json
 
@@ -49,11 +49,8 @@ def _load_scenario(args) -> Scenario:
     from .popgrid import load_scenario_file
 
     scenario = load_scenario_file(args.scenario)
-    overrides = {}
-    if getattr(args, "threshold", None) is not None:
-        overrides["threshold"] = args.threshold
-    if getattr(args, "param", None) is not None:
-        overrides["people_per_dot"] = args.param
+    overrides = {k: v for k, v in [("threshold", args.threshold), ("people_per_dot", args.param)]
+                 if v is not None}
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     return scenario
@@ -134,9 +131,9 @@ def cmd_compare(args) -> int:
               for label in scenario.states]
     table = compare_methods(states, args.seats)
     per_state = result.per_state
-    print("state population " + " ".join(METHOD_ORDER) + " quadtree")
+    print("state population " + " ".join(METHODS) + " quadtree")
     for s in states:
-        classical = " ".join(str(table[m].seats[s.label]) for m in METHOD_ORDER)
+        classical = " ".join(str(table[m].seats[s.label]) for m in METHODS)
         quad = len(per_state[s.label])
         print(f"{s.label} {s.population} {classical} {quad}")
     return 0

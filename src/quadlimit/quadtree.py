@@ -8,12 +8,12 @@ orthogonally connected. Leaves of the final tree, after merging, are the
 constituencies.
 
 The tree is held as its leaves, a linear quadtree (Gargantini, CACM 1982):
-each ``Leaf`` keeps its id in depth-first, NW-first preorder and its position
-under its parent, and is filed under its parent's id, since merging never
-crosses parents. Inner nodes are only counted, with the depth, while the tree
-grows. A merged unit is the tuple of its leaves in id order; its constituency
-keeps the leaves as rects, which ``locate`` descends by ``_halves`` from each
-state's root, the rects' bounding box, in memory and after loading alike.
+each ``Leaf`` is its id in depth-first, NW-first preorder, its rect and its
+population, filed under its parent's id, since merging never crosses parents.
+Inner nodes are only counted, with the depth, while the tree grows. A merged
+unit is the tuple of its leaves in id order; its constituency keeps the leaves
+as rects, which ``locate`` descends by ``_halves`` from each state's root, the
+rects' bounding box, in memory and after loading alike.
 
 ``Rect`` is defined here, and the module loads without numpy or ``popgrid``:
 results are read, written and queried in plain Python, and only
@@ -72,13 +72,11 @@ class Rect(_RectFields):
 
 
 class Leaf(NamedTuple):
-    """A leaf of the partition: its preorder id, rect and population, and its
-    index in ``subdivide`` of its parent (0 for a root leaf)."""
+    """A leaf of the partition: its preorder id, rect and population."""
 
     id: int
     rect: Rect
     population: int
-    position: int
 
 
 @dataclass(frozen=True)
@@ -196,19 +194,19 @@ def build_tree(grid: DotGrid, people_per_dot: int, threshold: int,
     next_id = max_depth = 0
     leaves: dict[int | None, list[Leaf]] = {}
 
-    def grow(r: Rect, parent: int | None, position: int, depth: int) -> None:
+    def grow(r: Rect, parent: int | None, depth: int) -> None:
         nonlocal next_id, max_depth
         nid = next_id
         next_id += 1
         max_depth = max(max_depth, depth)
         population = people_per_dot * grid.count_dots(r)
         if population <= threshold or r.area == 1:
-            leaves.setdefault(parent, []).append(Leaf(nid, r, population, position))
+            leaves.setdefault(parent, []).append(Leaf(nid, r, population))
         else:
-            for i, q in enumerate(subdivide(r)):
-                grow(q, nid, i, depth + 1)
+            for q in subdivide(r):
+                grow(q, nid, depth + 1)
 
-    grow(root_rect if root_rect is not None else grid.bounds(), None, 0, 0)
+    grow(root_rect if root_rect is not None else grid.bounds(), None, 0)
     del grow  # it holds itself; the cycle would keep the grid and leaves until a gc collection
     stats = TreeStats(nodes=next_id, leaves=sum(map(len, leaves.values())), max_depth=max_depth)
     return QuadTree(leaves=leaves, stats=stats)
@@ -222,8 +220,8 @@ def tree_stats(tree: QuadTree) -> TreeStats:
 def _units_connected(a: tuple[Leaf, ...], b: tuple[Leaf, ...]) -> bool:
     # Siblings tile their parent, so a unit of two or more quadrants borders
     # every other sibling, and two single leaves meet unless they are the
-    # diagonal quadrants NW/SE or NE/SW. A strip's halves, 0 and 1, always meet.
-    return len(a) > 1 or len(b) > 1 or a[0].position + b[0].position != 3
+    # diagonal quadrants, the only siblings whose rects share no x0 or y0.
+    return len(a) > 1 or len(b) > 1 or a[0].rect.x0 == b[0].rect.x0 or a[0].rect.y0 == b[0].rect.y0
 
 
 def _merge_leaves(leaves: list[Leaf], threshold: int) -> list[tuple[Leaf, ...]]:
@@ -279,7 +277,7 @@ def delimit(scenario: Scenario) -> DelimitationResult:
         units = sorted(u for us in merge_siblings(tree, th).values() for u in us)
         for cid, unit in enumerate(units, start=len(constituencies) + 1):
             # Siblings in id order are in (y0, x0) order.
-            _, shape, pops, _ = zip(*unit)
+            _, shape, pops = zip(*unit)
             pop = sum(pops)
             flags = _FLAG_SETS[pop > th, pop == 0]
             constituencies.append(Constituency(cid, shape, pop, flags, state))

@@ -1,9 +1,9 @@
 """SVG and ASCII views of delimitation results.
 
-The SVG draws black dots of radius 3 px on white, constituencies in black 2 px
-and states in blue 3 px outlines. All come from ``popgrid.outline_loops`` on
-rasters of constituency ids and of state codes, along cell edges: edges inside
-a constituency make no corner, so a merged one renders as a single outline.
+The SVG draws 24 px cells, black dots of radius 3 px on white, constituencies
+in black 2 px and states in blue 3 px outlines. All come from ``outline_loops``
+on rasters of constituency ids and of state codes, along cell edges: edges
+inside a constituency make no corner, so a merged one renders as one outline.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import attrgetter
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,14 +32,10 @@ _NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 @dataclass(frozen=True)
 class RenderStyle:
-    """The SVG's two settings: a cell's side in pixels, and whether dots are drawn."""
+    """The SVG's one setting, whether dots are drawn; a cell's side is fixed."""
 
-    cell_size_px: int = 24
+    cell_size_px: ClassVar[int] = 24
     draw_dots: bool = True
-
-    def __post_init__(self):
-        if self.cell_size_px < 1:
-            raise ValueError("cell_size_px must be >= 1")
 
 
 def boundary_loops(cells: set[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -121,7 +118,7 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
                           dtype=np.min_scalar_type(len(names)))
         np.add(codes, 1, out=padded[1:-1, 1:-1], casting="unsafe")
         del codes
-    cell = style.cell_size_px
+    cell = RenderStyle.cell_size_px
     w_px, h_px = grid.width * cell, grid.height * cell
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

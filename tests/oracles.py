@@ -226,12 +226,12 @@ def preorder_nodes(root):
 
 
 def reference_leaves(root):
-    """Parent id -> [(id, rect, population, position)] of its leaf children
-    in id order, the parents in the order their first leaves come."""
+    """Parent id -> [(id, rect, population)] of its leaf children in id
+    order, the parents in the order their first leaves come."""
     out = {}
     for n in preorder_nodes(root):
         if not n.children:
-            out.setdefault(n.parent, []).append((n.id, n.rect, n.population, n.position))
+            out.setdefault(n.parent, []).append((n.id, n.rect, n.population))
     return out
 
 
@@ -685,16 +685,17 @@ def boundary_edge_set(cells: set[tuple[int, int]]) -> set[frozenset]:
     return edges
 
 
-def path_edge_set(d: str) -> set[frozenset]:
-    """Unit edges covered by the path's segments (pixel coords already
-    divided down to cell units by the caller)."""
+def path_edge_set(d: str, cell_px: int = 1) -> set[frozenset]:
+    """Unit edges covered by the path's segments, with pixel coordinates
+    divided by ``cell_px`` down to cell units."""
     edges = set()
     for loop in parse_path_loops(d):
         n = len(loop)
         for k in range(n):
-            x1, y1 = loop[k]
-            x2, y2 = loop[(k + 1) % n]
-            x1, y1, x2, y2 = int(x1), int(y1), int(x2), int(y2)
+            coords = [v / cell_px for v in (*loop[k], *loop[(k + 1) % n])]
+            if any(v != int(v) for v in coords):
+                raise ValueError("vertex off the cell grid")
+            x1, y1, x2, y2 = map(int, coords)
             if x1 == x2:
                 lo, hi = sorted((y1, y2))
                 for y in range(lo, hi):

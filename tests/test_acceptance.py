@@ -231,7 +231,7 @@ def test_criterion_11_large_grid_performance():
 
 
 def test_criterion_12_svg_round_trip_50_scenarios():
-    flat = RenderStyle(cell_size_px=1, draw_dots=False)
+    flat = RenderStyle(draw_dots=False)
     rng = random.Random(1200)
     merged_seen = 0
     scenarios = [load_scenario(scenario_text(
@@ -248,9 +248,9 @@ def test_criterion_12_svg_round_trip_50_scenarios():
             if len(c.shape) > 1:
                 merged_seen += 1
             got = rasterize_path(paths[c.id], scenario.grid.width,
-                                 scenario.grid.height, 1)
+                                 scenario.grid.height, 24)
             assert got == cells
-            assert path_edge_set(paths[c.id]) == boundary_edge_set(cells)
+            assert path_edge_set(paths[c.id], 24) == boundary_edge_set(cells)
     assert merged_seen > 0
     print(f"criterion 12: PASS 50 scenarios round-tripped "
           f"({merged_seen} merged shapes included)")

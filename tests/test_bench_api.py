@@ -73,7 +73,7 @@ def test_replayed_steps_agree_with_delimit(labeller):
 
 @pytest.mark.parametrize("labeller", LABELLERS)
 def test_outline_and_render_calls(labeller):
-    flat = RenderStyle(cell_size_px=1, draw_dots=False)
+    flat = RenderStyle(draw_dots=False)
     for s in scenarios(labeller, 93, n=6):
         result = delimit(s)
         for c in result.constituencies:

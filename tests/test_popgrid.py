@@ -126,6 +126,22 @@ class TestCountDots:
         with pytest.raises(ValueError):
             grid.sat[0, 0] = 9
 
+    @pytest.mark.parametrize("make", [lambda rows: np.array(rows, dtype=np.int64), list],
+                             ids=["array", "list"])
+    def test_caller_input_is_copied(self, make):
+        # The grid is immutable, so changing what the caller passed in,
+        # even an int64 array, leaves it as it was.
+        rows = [[1, 2], [3, 4]]
+        counts = make([list(row) for row in rows])
+        grid = DotGrid(counts)
+        assert not grid.counts.flags.writeable
+        counts[0][0] = 90
+        counts[1][:] = [0, 0]
+        assert grid.counts.tolist() == rows
+        assert grid.total_dots == 10
+        assert grid.count_dots(Rect(0, 0, 1, 1)) == 1
+        assert grid.count_dots(Rect(0, 1, 2, 1)) == 7
+
 
 class TestLoadScenario:
     def test_small_grid_readback(self):

@@ -79,13 +79,13 @@ class TestBuildTree:
     def test_whole_grid_fits_threshold_single_leaf(self):
         grid = DotGrid([[1, 0], [0, 0]])
         tree = build_tree(grid, 500, 1000)
-        assert tree.leaves == {None: [Leaf(0, Rect(0, 0, 2, 2), 500, 0)]}
+        assert tree.leaves == {None: [Leaf(0, Rect(0, 0, 2, 2), 500)]}
         assert tree.stats == TreeStats(1, 1, 0)
         assert merge_siblings(tree, 1000)[None] == [tuple(tree.leaves[None])]
 
     def test_all_zero_grid_single_leaf(self):
         tree = build_tree(DotGrid([[0] * 4 for _ in range(4)]), 500, 1)
-        assert tree.leaves == {None: [Leaf(0, Rect(0, 0, 4, 4), 0, 0)]}
+        assert tree.leaves == {None: [Leaf(0, Rect(0, 0, 4, 4), 0)]}
 
     def test_16x16_structure(self):
         grid = DotGrid([[1] * 16 for _ in range(16)])
@@ -96,10 +96,10 @@ class TestBuildTree:
         assert tree.leaves == reference_leaves(ref)
         # The four quadrants (ids 1, 6, 11, 16) each split into four leaves.
         assert list(tree.leaves) == [1, 6, 11, 16]
-        for parent, leaves in tree.leaves.items():
+        for quadrant, (parent, leaves) in zip(subdivide(grid.bounds()), tree.leaves.items()):
             assert [leaf.population for leaf in leaves] == [1600] * 4
             assert [leaf.id for leaf in leaves] == list(range(parent + 1, parent + 5))
-            assert [leaf.position for leaf in leaves] == [0, 1, 2, 3]
+            assert [leaf.rect for leaf in leaves] == subdivide(quadrant)
         assert tree.stats.nodes == 21
         assert tree.stats.max_depth == 2
 
@@ -156,7 +156,7 @@ class TestBuildTree:
     def test_sub_rect_root(self):
         grid = DotGrid([[1] * 4 for _ in range(4)])
         tree = build_tree(grid, 1, 100, root_rect=Rect(1, 1, 2, 2))
-        assert tree.leaves == {None: [Leaf(0, Rect(1, 1, 2, 2), 4, 0)]}
+        assert tree.leaves == {None: [Leaf(0, Rect(1, 1, 2, 2), 4)]}
 
     @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(["grid", "sub", "masked"]),
            st.integers(1, 3), st.randoms(use_true_random=False))
@@ -188,7 +188,7 @@ class TestBuildTree:
 
 
 def make_parent_with_leaves(pops, rect=Rect(0, 0, 2, 2)):
-    leaves = [Leaf(i + 1, q, p, i) for i, (q, p) in enumerate(zip(subdivide(rect), pops))]
+    leaves = [Leaf(i + 1, q, p) for i, (q, p) in enumerate(zip(subdivide(rect), pops))]
     return QuadTree(leaves={0: leaves}, stats=TreeStats(1 + len(pops), len(pops), 1))
 
 
@@ -242,7 +242,7 @@ class TestMergeSiblings:
         units = merge_siblings(tree, 500)[0]
         assert len(units) == 4
 
-    def test_positional_contact_matches_flood_fill(self):
+    def test_sibling_contact_matches_flood_fill(self):
         # Every ordered pair of disjoint, connected groups of a split's parts.
         pairs = 0
         for w in range(1, 8):
@@ -257,7 +257,7 @@ class TestMergeSiblings:
                 for a, b in itertools.product(groups, repeat=2):
                     if set(a) & set(b):
                         continue
-                    ua, ub = (tuple(Leaf(i + 1, parts[i], 0, i) for i in g)
+                    ua, ub = (tuple(Leaf(i + 1, parts[i], 0) for i in g)
                               for g in (a, b))
                     assert _units_connected(ua, ub) \
                         == flood_connected(set().union(*(cells[i] for i in a + b))), (w, h, a, b)
@@ -265,7 +265,7 @@ class TestMergeSiblings:
         assert pairs == 1464
 
     def test_root_leaf_has_no_partner(self):
-        tree = QuadTree(leaves={None: [Leaf(0, Rect(0, 0, 3, 3), 5, 0)]},
+        tree = QuadTree(leaves={None: [Leaf(0, Rect(0, 0, 3, 3), 5)]},
                         stats=TreeStats(1, 1, 0))
         units = merge_siblings(tree, 100)[None]
         assert len(units) == 1 and population(units[0]) == 5
@@ -287,7 +287,7 @@ class TestMergeSiblings:
             for u in units:
                 assert type(u) is tuple and leaf_ids(u) == sorted(leaf_ids(u))
             assert [u[0].id for u in units] == sorted(u[0].id for u in units)
-            ref = _merge_fixpoint([(leaf.position, rect_cells(*leaf.rect), leaf.population)
+            ref = _merge_fixpoint([(leaf.id, rect_cells(*leaf.rect), leaf.population)
                                    for leaf in leaves], th)
             # Leaves tile their parent, so a unit's cells give back its leaves.
             assert [(leaf_ids(u), population(u)) for u in units] == [

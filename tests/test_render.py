@@ -18,7 +18,7 @@ from helpers import NUL_LABELS_TEXT, random_scenario, scenario_text
 from oracles import boundary_edge_set, boundary_loops_reference, path_edge_set, \
     rasterize_path, rect_cells, svg_constituency_paths
 
-FLAT = RenderStyle(cell_size_px=1, draw_dots=False)
+FLAT = RenderStyle(draw_dots=False)
 
 
 def l_shaped_scenario():
@@ -120,7 +120,7 @@ class TestRenderSvg:
         paths = svg_constituency_paths(svg)
         assert list(paths) == [1]
         assert paths[1].count("M") == 1
-        assert rasterize_path(paths[1], 4, 4, 1) == rect_cells(0, 0, 4, 4)
+        assert rasterize_path(paths[1], 4, 4, 24) == rect_cells(0, 0, 4, 4)
 
     def test_16_equal_square_paths(self):
         s = load_scenario(scenario_text([[1] * 16 for _ in range(16)], 100, 1600))
@@ -129,7 +129,7 @@ class TestRenderSvg:
         paths = svg_constituency_paths(svg)
         assert sorted(paths) == list(range(1, 17))
         for cid, d in paths.items():
-            cells = rasterize_path(d, 16, 16, 1)
+            cells = rasterize_path(d, 16, 16, 24)
             assert len(cells) == 16
             assert cells == {c for r in result.by_id(cid).shape for c in r.cells()}
 
@@ -143,8 +143,8 @@ class TestRenderSvg:
         assert d.count("M") == 1 and d.count("Z") == 1
         assert d.count("L") == 5  # six vertices: one M plus five L
         expected_cells = rect_cells(0, 0, 3, 3) - {(2, 2)}
-        assert rasterize_path(d, 3, 3, 1) == expected_cells
-        assert path_edge_set(d) == boundary_edge_set(expected_cells)
+        assert rasterize_path(d, 3, 3, 24) == expected_cells
+        assert path_edge_set(d, 24) == boundary_edge_set(expected_cells)
 
     def test_drawn_edges_are_exactly_inter_constituency_edges(self):
         rng = random.Random(40)
@@ -154,7 +154,7 @@ class TestRenderSvg:
             svg = render_svg(result, s.grid, FLAT)
             drawn = set()
             for d in svg_constituency_paths(svg).values():
-                drawn |= path_edge_set(d)
+                drawn |= path_edge_set(d, 24)
             expected = set()
             for c in result.constituencies:
                 expected |= boundary_edge_set(
@@ -205,7 +205,7 @@ class TestRenderSvg:
         paths = svg_constituency_paths(render_svg(result, DotGrid([[1] * 3] * 2), FLAT))
         for cid, d in paths.items():
             cells = {cell for r in result.by_id(cid).shape for cell in r.cells()}
-            assert path_edge_set(d) == boundary_edge_set(cells)
+            assert path_edge_set(d, 24) == boundary_edge_set(cells)
 
     def test_state_ids_escaped(self):
         # A double-quoted attribute needs &, <, > and " escaped; ' stays as it is.
@@ -258,19 +258,19 @@ class TestRenderSvg:
 
     def test_header_and_size(self):
         s = load_scenario("3 2 10 1000\n1 1 1\n1 1 1\n")
-        svg = render_svg(delimit(s), s.grid, RenderStyle(cell_size_px=10))
+        svg = render_svg(delimit(s), s.grid)
         assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
-        assert 'width="30" height="20"' in svg
+        assert 'width="72" height="48"' in svg
         assert svg.rstrip().endswith("</svg>")
 
 
 class TestRenderStyleValidation:
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            RenderStyle(cell_size_px=0)
+        with pytest.raises(TypeError):
+            RenderStyle(cell_size_px=2)
 
-    def test_only_cell_size_and_dots_are_settable(self):
-        assert [f.name for f in dataclasses.fields(RenderStyle)] == ["cell_size_px", "draw_dots"]
+    def test_only_dots_are_settable(self):
+        assert [f.name for f in dataclasses.fields(RenderStyle)] == ["draw_dots"]
         with pytest.raises(TypeError):
             RenderStyle(background="white")
 
