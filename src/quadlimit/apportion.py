@@ -31,9 +31,7 @@ class StateRecord:
 
 @dataclass(frozen=True)
 class ApportionmentResult:
-    method: str
-    house_size: int
-    seats: dict[str, int]
+    seats: dict[str, int]  # per label, summing to the house size
     # Exact quotas, Hamilton only.
     quotas: dict[str, Fraction] | None = None
     # (award round, label) log, divisor methods only.
@@ -71,8 +69,7 @@ def hamilton(states: list[StateRecord], house_size: int) -> ApportionmentResult:
     )
     for s in by_remainder[:leftover]:
         seats[s.label] += 1
-    return ApportionmentResult(method="hamilton", house_size=house_size,
-                               seats=seats, quotas=quotas)
+    return ApportionmentResult(seats, quotas=quotas)
 
 
 @dataclass(slots=True)
@@ -125,8 +122,7 @@ def _highest_averages(method: str, states: list[StateRecord], house_size: int,
         trace.append((rnd, best.label))
         heapq.heapreplace(heap, _Claim(*priority(best.population, seats[best.label]),
                                        best.population, best.label))
-    return ApportionmentResult(method=method, house_size=house_size,
-                               seats=seats, priority_trace=tuple(trace))
+    return ApportionmentResult(seats, priority_trace=tuple(trace))
 
 
 def jefferson(states: list[StateRecord], house_size: int) -> ApportionmentResult:

@@ -148,8 +148,8 @@ class Scenario:
 
     ``state_labels`` is an optional per-cell label grid of the same shape;
     every label's cells must form one orthogonally connected region. It is
-    also held as ``label_codes``, an int32 raster of each cell's index into
-    the sorted ``states``.
+    also held as ``states``, the stored tuple of its sorted distinct labels,
+    and ``label_codes``, an int32 raster of each cell's index into ``states``.
     """
 
     grid: DotGrid
@@ -158,8 +158,8 @@ class Scenario:
     state_labels: tuple[tuple[str, ...], ...] | None = None
     label_codes: np.ndarray | None = field(default=None, init=False, repr=False,
                                            compare=False)
-    _state_names: tuple[str, ...] | None = field(default=None, init=False, repr=False,
-                                                 compare=False)
+    states: tuple[str, ...] | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if self.people_per_dot < 1:
@@ -169,19 +169,12 @@ class Scenario:
         if self.state_labels is not None:
             codes, names = _validate_labels(self.grid, self.state_labels)
             object.__setattr__(self, "label_codes", codes)
-            object.__setattr__(self, "_state_names", names)
-
-    @property
-    def states(self) -> list[str] | None:
-        """Sorted distinct state labels, or None for unlabelled scenarios."""
-        if self._state_names is None:
-            return None
-        return list(self._state_names)
+            object.__setattr__(self, "states", names)
 
     def label_array(self) -> np.ndarray | None:
         if self.state_labels is None:
             return None
-        return np.array(self._state_names)[self.label_codes]
+        return np.array(self.states)[self.label_codes]
 
     def total_population(self) -> int:
         return self.people_per_dot * self.grid.total_dots
@@ -197,9 +190,9 @@ class Scenario:
         """Dot total per state, built on first use by one scatter-add of the
         counts onto their state codes. The int64 sums are exact: none can
         exceed the grid total, which fits."""
-        sums = np.zeros(len(self._state_names), dtype=np.int64)
+        sums = np.zeros(len(self.states), dtype=np.int64)
         np.add.at(sums, self.label_codes.ravel(), self.grid.counts.ravel())
-        return dict(zip(self._state_names, sums.tolist()))
+        return dict(zip(self.states, sums.tolist()))
 
 
 def encode_labels(labels: tuple[tuple[str, ...], ...]) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -113,6 +113,12 @@ class DelimitationResult:
     stats: TreeStats
     state_labels: tuple[tuple[str, ...], ...] | None = None
 
+    def __post_init__(self):
+        rows = self.state_labels
+        if rows is not None and (len(rows) != self.height
+                                 or any(len(row) != self.width for row in rows)):
+            raise ValueError(f"state labels must be {self.width}x{self.height} like the result")
+
     @property
     def count(self) -> int:
         return len(self.constituencies)

@@ -238,6 +238,11 @@ class TestCompareMethods:
         assert table["webster"].seats == webster(SAMPLE, 20).seats
         assert table["huntington-hill"].seats == huntington_hill(SAMPLE, 20).seats
 
+    @pytest.mark.parametrize("name", METHODS)
+    def test_house_size_below_one(self, name):
+        with pytest.raises(ApportionmentError, match="^house size must be >= 1, got 0$"):
+            METHODS[name](SAMPLE, 0)
+
     def test_single_state_all_methods_give_house(self):
         table = compare_methods([StateRecord("only", 42)], 13)
         assert all(r.seats == {"only": 13} for r in table.values())
@@ -257,6 +262,10 @@ class TestPopulationParsing:
             parse_populations("A=1,A=2")
         with pytest.raises(ApportionmentError, match=">= 1"):
             parse_populations("A=0")
+
+    def test_inline_empty(self):
+        with pytest.raises(ApportionmentError, match="^no states given$"):
+            parse_populations("")
 
     def test_file_format(self):
         text = "# populations\nA 2560\nB 3315\n\nC 995\nD 5012\n"

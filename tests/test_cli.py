@@ -117,6 +117,12 @@ class TestApportionCommand:
                  "--pops", self.POPS])
         assert exc.value.code == 2
 
+    def test_non_integer_seats_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["apportion", "--method", "webster", "--seats", "x", "--pops", self.POPS])
+        assert exc.value.code == 2
+        assert "argument --seats: expected an integer, got 'x'" in capsys.readouterr().err
+
     def test_pops_from_file(self, tmp_path, capsys):
         pops = tmp_path / "pops.txt"
         pops.write_text("# sample\nA 2560\nB 3315\nC 995\nD 5012\n")
@@ -294,6 +300,16 @@ class TestRenderCommand:
         run(["delimit", grid16, "--out", str(out)])
         assert run(["render", str(small), "--result", str(out),
                     "--out", str(tmp_path / "x.svg")]) == 3
+
+    def test_labels_of_another_size_are_exit_3(self, grid16, tmp_path, capsys):
+        small = tmp_path / "small.txt"
+        small.write_text("2 2 10 100\n1 1\n1 1\nSTATES\nA B\nA B\n")
+        out, svg = tmp_path / "r.json", tmp_path / "x.svg"
+        assert run(["delimit", grid16, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["render", str(small), "--result", str(out), "--out", str(svg)]) == 3
+        assert capsys.readouterr().err == "error: state labels must be 16x16 like the result\n"
+        assert not svg.exists()
 
 
 # (result document, scenario of its size, the message of the first rule it breaks)

@@ -48,6 +48,11 @@ class TestBuildSat:
         sat = build_sat([[7]])
         assert sat.tolist() == [[0, 0], [0, 7]]
 
+    @pytest.mark.parametrize("counts", [[1, 2], [[]], [[[1]]]], ids=["1-D", "empty", "3-D"])
+    def test_not_a_raster(self, counts):
+        with pytest.raises(ValueError, match="^counts must be a non-empty 2-D raster$"):
+            build_sat(counts)
+
     def test_random_8x8_matches_naive(self):
         rng = random.Random(8)
         counts = [[rng.randint(0, 9) for _ in range(8)] for _ in range(8)]
@@ -67,6 +72,15 @@ class TestBuildSat:
 
 
 class TestCountDots:
+    @pytest.mark.parametrize("counts", [[1, 2], [[]]], ids=["1-D", "empty"])
+    def test_not_a_raster(self, counts):
+        with pytest.raises(ValueError, match="^counts must be a non-empty 2-D raster$"):
+            DotGrid(counts)
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="^dot counts must be non-negative$"):
+            DotGrid([[1, -1]])
+
     def test_full_uniform_grid(self):
         grid = DotGrid([[1] * 4 for _ in range(4)])
         assert grid.count_dots(Rect(0, 0, 4, 4)) == 16
@@ -191,7 +205,7 @@ class TestLoadScenario:
     def test_states_parsed(self):
         text = "2 2 500 1000\n1 0\n0 1\nSTATES\nA A\nB B\n"
         s = load_scenario(text)
-        assert s.states == ["A", "B"]
+        assert s.states == ("A", "B")
         assert s.state_labels == (("A", "A"), ("B", "B"))
         assert s.state_population("A") == 500
 
@@ -215,6 +229,12 @@ class TestLoadScenario:
     def test_state_rows_must_match_width(self):
         text = "2 2 500 1000\n1 1\n1 1\nSTATES\nA A\nB\n"
         with pytest.raises(ScenarioError, match="dimension mismatch"):
+            load_scenario(text)
+
+    def test_state_rows_must_match_height(self):
+        text = "2 2 500 1000\n1 1\n1 1\nSTATES\nA A\n"
+        with pytest.raises(ScenarioError,
+                           match="^dimension mismatch: expected 2 state label rows, found 1$"):
             load_scenario(text)
 
     def test_trailing_garbage_rejected(self):
@@ -396,7 +416,7 @@ class TestParserDifferential:
             assert s.states is None
             return
         states = sorted({lab for row in r.state_labels for lab in row})
-        assert s.states == states
+        assert s.states == tuple(states)
         for lab in states:
             dots = sum(c for crow, lrow in zip(r.counts, r.state_labels)
                        for c, l in zip(crow, lrow) if l == lab)
@@ -414,7 +434,7 @@ class TestParserDifferential:
         if new[0] == "error":
             assert new[1:] == ref[1:]
         else:
-            assert new[1].states == sorted({lab for row in labels for lab in row})
+            assert new[1].states == tuple(sorted({lab for row in labels for lab in row}))
             assert new[1].label_codes.tolist() == [[new[1].states.index(lab) for lab in row]
                                                    for row in labels]
 

@@ -438,6 +438,18 @@ class TestDelimitStates:
                 assert owner[y, x] == locate(result, x, y).id
         assert owner.tolist() == [[2, 2], [2, 1]]
 
+    @pytest.mark.parametrize("labels", [
+        (("A",), ("B", "A", "B")),
+        (("A", "B"), ("A", "B"), ("A", "B")),
+        (("A", "B", "A"), ("A", "B", "A")),
+    ], ids=["ragged", "2x3", "3x2"])
+    def test_state_labels_must_match_result_size(self, labels):
+        # Labels of another size would draw, paint and locate the wrong cells.
+        result = delimit(load_scenario("2 2 1 10\n1 1\n1 1\nSTATES\nA B\nA B\n"))
+        with pytest.raises(ValueError, match="^state labels must be 2x2 like the result$"):
+            dataclasses.replace(result, state_labels=labels)
+        assert dataclasses.replace(result, state_labels=(("B", "A"), ("B", "A"))).width == 2
+
     def test_random_state_scenarios_conserve_population(self):
         rng = random.Random(14)
         for _ in range(20):

@@ -48,6 +48,9 @@ def id_rasters(draw):
 
 
 class TestBoundaryLoops:
+    def test_no_cells(self):
+        assert boundary_loops(set()) == []
+
     def test_single_cell(self):
         loops = boundary_loops({(0, 0)})
         assert loops == [[(0, 0), (1, 0), (1, 1), (0, 1)]]
