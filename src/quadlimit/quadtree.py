@@ -10,10 +10,10 @@ constituencies.
 The tree is held as its leaves, a linear quadtree (Gargantini, CACM 1982):
 each ``Leaf`` is its id in depth-first, NW-first preorder, its rect and its
 population, filed under its parent's id, since merging never crosses parents.
-Inner nodes are only counted, with the depth, while the tree grows. A merged
-unit is the tuple of its leaves in id order; its constituency keeps the leaves
-as rects, which ``locate`` descends by ``_halves`` from each state's root, the
-rects' bounding box, in memory and after loading alike.
+After one root check by ``count_dots``, still the checked public query, the
+tree grows on SAT corners read as Python ints. A merged unit is its leaves in
+id order; ``locate``, loaded or not, descends to their rects from each state's
+root, the rects' bounding box, halving inline by ``subdivide``'s rule.
 
 ``Rect`` is defined here, and the module loads without numpy or ``popgrid``:
 results are read, written and queried in plain Python, and only
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -197,25 +198,31 @@ def build_tree(grid: DotGrid, people_per_dot: int, threshold: int,
     stays as an over-capacity leaf. Only the leaves are kept, each filed
     under its parent's id in the order the parents' first leaves grow.
     """
+    root = root_rect if root_rect is not None else grid.bounds()
+    grid.count_dots(root)  # the one bounds check: every part of an in-grid root is in the grid
+    item, gx, gy = grid.sat.item, grid.x0, grid.y0  # grow's x0, y0 index the SAT: map less (gx, gy)
     next_id = max_depth = 0
     leaves: dict[int | None, list[Leaf]] = {}
 
-    def grow(r: Rect, parent: int | None, depth: int) -> None:
+    def grow(x0: int, y0: int, w: int, h: int, parent: int | None, depth: int) -> None:
         nonlocal next_id, max_depth
         nid = next_id
         next_id += 1
         max_depth = max(max_depth, depth)
-        population = people_per_dot * grid.count_dots(r)
-        if population <= threshold or r.area == 1:
-            leaves.setdefault(parent, []).append(Leaf(nid, r, population))
+        x1, y1 = x0 + w, y0 + h
+        population = people_per_dot * (item(y1, x1) - item(y0, x1) - item(y1, x0) + item(y0, x0))
+        if population <= threshold or w * h == 1:
+            rect = tuple.__new__(Rect, (x0 + gx, y0 + gy, w, h))
+            leaves.setdefault(parent, []).append(Leaf(nid, rect, population))
         else:
-            for q in subdivide(r):
-                grow(q, nid, depth + 1)
+            xs = _halves(x0, w)
+            for y, ch in _halves(y0, h):
+                for x, cw in xs:
+                    grow(x, y, cw, ch, nid, depth + 1)
 
-    grow(root_rect if root_rect is not None else grid.bounds(), None, 0)
+    grow(root.x0 - gx, root.y0 - gy, root.w, root.h, None, 0)
     del grow  # it holds itself; the cycle would keep the grid and leaves until a gc collection
-    stats = TreeStats(nodes=next_id, leaves=sum(map(len, leaves.values())), max_depth=max_depth)
-    return QuadTree(leaves=leaves, stats=stats)
+    return QuadTree(leaves, TreeStats(next_id, sum(map(len, leaves.values())), max_depth))
 
 
 def tree_stats(tree: QuadTree) -> TreeStats:
@@ -234,12 +241,11 @@ def _merge_leaves(leaves: list[Leaf], threshold: int) -> list[tuple[Leaf, ...]]:
     units = [(leaf,) for leaf in leaves]
     pops = [leaf.population for leaf in leaves]
     while True:
-        pair = next(((i, j) for i in range(len(units)) for j in range(i + 1, len(units))
-                     if pops[i] + pops[j] <= threshold
-                     and _units_connected(units[i], units[j])), None)
-        if pair is None:
+        for i, j in combinations(range(len(units)), 2):  # lexicographic, as the rule scans
+            if pops[i] + pops[j] <= threshold and _units_connected(units[i], units[j]):
+                break
+        else:
             return units
-        i, j = pair
         # Folding j into the earlier i keeps the units in first-leaf order.
         units[i] = tuple(sorted(units[i] + units.pop(j)))
         pops[i] += pops.pop(j)
@@ -324,10 +330,12 @@ def locate_with_visits(result: DelimitationResult, cx: int, cy: int) -> tuple[Co
         while (found := table.get((x0, y0, w, h))) is None:
             if w == 1 and h == 1:
                 raise ValueError(f"no constituency contains ({cx}, {cy})")
-            # Indexing, not a generator per level, keeps the descent cheap.
-            hx, hy = _halves(x0, w), _halves(y0, h)
-            x0, w = hx[-1] if cx >= hx[-1][0] else hx[0]
-            y0, h = hy[-1] if cy >= hy[-1][0] else hy[0]
+            hw, hh = (w + 1) // 2, (h + 1) // 2  # _halves' rule; a 1-wide span stays whole
+            if cx >= x0 + hw:
+                x0, hw = x0 + hw, w - hw
+            if cy >= y0 + hh:
+                y0, hh = y0 + hh, h - hh
+            w, h = hw, hh
             visits += 1
         return found, visits
     raise ValueError(f"no constituency contains ({cx}, {cy})")

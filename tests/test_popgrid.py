@@ -156,6 +156,19 @@ class TestCountDots:
         assert grid.count_dots(Rect(0, 0, 1, 1)) == 1
         assert grid.count_dots(Rect(0, 1, 2, 1)) == 7
 
+    def test_caller_array_change_leaves_sat(self):
+        # An int64 array could be taken without a copy; the grid must not
+        # see later writes to it, in its counts, its SAT or its queries.
+        arr = np.arange(12, dtype=np.int64).reshape(3, 4)
+        grid = DotGrid(arr)
+        counts, sat = grid.counts.copy(), grid.sat.copy()
+        rects = (Rect(0, 0, 4, 3), Rect(1, 1, 2, 2), Rect(3, 2, 1, 1))
+        arr[:] = 7
+        arr[1, 2] = 0
+        assert np.array_equal(grid.counts, counts)
+        assert np.array_equal(grid.sat, sat)
+        assert [grid.count_dots(r) for r in rects] == [66, 30, 11]
+
 
 class TestLoadScenario:
     def test_small_grid_readback(self):

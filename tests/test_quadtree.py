@@ -158,6 +158,22 @@ class TestBuildTree:
         tree = build_tree(grid, 1, 100, root_rect=Rect(1, 1, 2, 2))
         assert tree.leaves == {None: [Leaf(0, Rect(1, 1, 2, 2), 4)]}
 
+    @pytest.mark.parametrize("root", ["sticks out", "before masked origin"])
+    def test_root_outside_grid_is_value_error(self, root):
+        # One check on the root stands for a bounds check per node. A root
+        # left of or above a masked grid's origin would otherwise read the
+        # SAT at negative indices, from its far edge, without any error.
+        grid = DotGrid([[1] * 4 for _ in range(4)])
+        if root == "sticks out":
+            rect = Rect(2, 2, 3, 1)
+        else:
+            keep = np.zeros((4, 4), dtype=bool)
+            keep[1, 1] = keep[3, 3] = True
+            grid, rect = grid.masked(keep), Rect(0, 0, 2, 2)
+            assert grid.bounds() == Rect(1, 1, 3, 3)
+        with pytest.raises(ValueError, match="exceeds grid bounds"):
+            build_tree(grid, 1, 100, root_rect=rect)
+
     @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(["grid", "sub", "masked"]),
            st.integers(1, 3), st.randoms(use_true_random=False))
     @example(1, 11, "grid", 1, random.Random(0))
@@ -508,6 +524,16 @@ class TestLocate:
         kwargs = {"with_states": False} if labeller is None \
             else {"with_states": True, "labeller": labeller}
         self.check_every_cell(random_scenario(rng, max_dim=16, min_dim=6, **kwargs))
+
+    @pytest.mark.parametrize("length", range(1, 34))
+    def test_every_cell_of_strips(self, length):
+        # One-cell-wide and one-cell-tall maps: every level halves one axis
+        # and keeps the 1-wide span whole.
+        rng = random.Random(length)
+        row = [rng.choice([0, 1, 3, 9]) for _ in range(length)]
+        for counts in ([row], [[v] for v in row]):
+            for th in (1, 4, sum(row) // 3 + 1):
+                self.check_every_cell(load_scenario(scenario_text(counts, 1, th)))
 
     def test_shared_rect_in_two_states(self):
         # A's tree has leaf (0,1,1,1) in c1; B's root is the same rect, c3.
