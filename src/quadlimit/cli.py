@@ -115,9 +115,9 @@ def cmd_render(args) -> int:
     from .render import render_svg
 
     scenario = _load_scenario(args)
-    result = result_from_json(_read(args.result))
-    check_result(result)
-    result = dataclasses.replace(result, state_labels=scenario.state_labels)
+    result = dataclasses.replace(result_from_json(_read(args.result)),
+                                 state_labels=scenario.state_labels)
+    check_result(result, scenario)
     _write(args.out, render_svg(result, scenario.grid))
     return 0
 

@@ -16,7 +16,8 @@ Scenario text is read in numpy. A count block made only of ASCII digits,
 spaces and tabs goes through ``np.loadtxt``; any other block, and any block
 ``np.loadtxt`` rejects or reads to the wrong shape, is read token by token
 with Python's ``int``, which gives the same values and names the line and
-column of the first bad cell. State labels become an int32 code raster. The
+column of the first bad cell. State labels are held as ``quadtree.StateLabels``,
+which encodes them once into the int32 code raster every layer reads. The
 one outline tracer, crack following on an id raster (the 2-D marching-cubes
 cell table, Lorensen and Cline 1987), lives here too: a state is connected iff
 exactly one of its outlines is an outer one (Suzuki and Abe, 1985).
@@ -25,13 +26,12 @@ exactly one of its outlines is an outer one (Suzuki and Abe, 1985).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .quadtree import Rect
+from .quadtree import Rect, StateLabels
 
 INT64_MAX = 2**63 - 1
 # Everything but these bytes sends a count block to the token-by-token reader.
@@ -96,9 +96,14 @@ class DotGrid:
     """
 
     def __init__(self, counts, *, origin: tuple[int, int] = (0, 0)):
-        arr = np.array(counts, dtype=np.int64)
+        arr = np.array(counts)  # a copy: a grid never shares a caller's array
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("counts must be a non-empty 2-D raster")
+        if arr.dtype.kind not in "iu":  # an int above 2**64-1 makes an object array
+            raise ValueError(f"dot counts must be integers up to 2**63-1, got dtype {arr.dtype}")
+        if arr.dtype == np.uint64 and arr.max() > INT64_MAX:
+            raise ValueError(f"dot count {arr.max()} exceeds 2**63-1")
+        arr = arr.astype(np.int64, copy=False)
         if (arr < 0).any():
             raise ValueError("dot counts must be non-negative")
         _check_total(arr)
@@ -146,20 +151,16 @@ class DotGrid:
 class Scenario:
     """Validated delimitation input: grid, dot value, population threshold.
 
-    ``state_labels`` is an optional per-cell label grid of the same shape;
-    every label's cells must form one orthogonally connected region. It is
-    also held as ``states``, the stored tuple of its sorted distinct labels,
-    and ``label_codes``, an int32 raster of each cell's index into ``states``.
+    ``state_labels`` is an optional per-cell label grid of the same shape, held
+    as a ``StateLabels``; each label's cells must form one orthogonally connected
+    region. ``states`` (sorted distinct labels) and ``label_codes`` (each cell's
+    int32 index into ``states``) read its encoding; both are None without labels.
     """
 
     grid: DotGrid
     people_per_dot: int
     threshold: int
-    state_labels: tuple[tuple[str, ...], ...] | None = None
-    label_codes: np.ndarray | None = field(default=None, init=False, repr=False,
-                                           compare=False)
-    states: tuple[str, ...] | None = field(default=None, init=False, repr=False,
-                                           compare=False)
+    state_labels: StateLabels | None = None
 
     def __post_init__(self):
         if self.people_per_dot < 1:
@@ -167,9 +168,16 @@ class Scenario:
         if self.threshold < 1:
             raise ScenarioError(f"threshold must be >= 1, got {self.threshold}")
         if self.state_labels is not None:
-            codes, names = _validate_labels(self.grid, self.state_labels)
-            object.__setattr__(self, "label_codes", codes)
-            object.__setattr__(self, "states", names)
+            object.__setattr__(self, "state_labels", StateLabels(self.state_labels))
+            _validate_labels(self.grid, self.state_labels)
+
+    @property
+    def label_codes(self) -> np.ndarray | None:
+        return None if self.state_labels is None else self.state_labels.encoding[0]
+
+    @property
+    def states(self) -> tuple[str, ...] | None:
+        return None if self.state_labels is None else self.state_labels.encoding[1]
 
     def label_array(self) -> np.ndarray | None:
         if self.state_labels is None:
@@ -195,30 +203,17 @@ class Scenario:
         return dict(zip(self.states, sums.tolist()))
 
 
-def encode_labels(labels: tuple[tuple[str, ...], ...]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Int32 raster of each cell's index into the sorted labels, and those labels."""
-    # A dict keeps labels exact; numpy's fixed-width strings drop trailing NULs.
-    names = tuple(sorted(set().union(*labels)))
-    index = {name: i for i, name in enumerate(names)}
-    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(labels)),
-                        dtype=np.int32, count=len(labels) * len(labels[0]))
-    return codes.reshape(len(labels), -1), names
-
-
-def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]
-                     ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Check the label grid's shape, and that each state is one edge-connected
-    region: exactly one of its outline cycles is outer, its least (y, x, out)
-    corner going right, as a hole's goes down. Pointer doubling finds each
-    cycle's least corner. An outer one is its region's first cell, so the
-    error names what a row-major flood fill finds first. Return the read-only
-    int32 code raster and the sorted state names."""
+def _validate_labels(grid: DotGrid, labels: StateLabels) -> None:
+    """Check the label grid's shape, then, on its encoding, that each state is
+    one edge-connected region: exactly one of its outline cycles is outer, its
+    least (y, x, out) corner going right, as a hole's goes down. Pointer
+    doubling finds each cycle's least corner. An outer one is its region's
+    first cell, so the error names what a row-major flood fill finds first."""
     if len(labels) != grid.height or any(len(row) != grid.width for row in labels):
         raise ScenarioError(
             f"state label grid must be {grid.width}x{grid.height} like the dot grid"
         )
-    codes, names = encode_labels(labels)
-    codes.setflags(write=False)
+    codes, names = labels.encoding
     padded = np.zeros((grid.height + 2, grid.width + 2), dtype=np.min_scalar_type(len(names)))
     np.add(codes, 1, out=padded[1:-1, 1:-1], casting="unsafe")
     vertex, ident, out, successor = link_corners(padded)
@@ -235,7 +230,6 @@ def _validate_labels(grid: DotGrid, labels: tuple[tuple[str, ...], ...]
             raise ScenarioError(f"state '{names[k - 1]}' is not orthogonally connected: "
                                 f"cell ({x}, {y}) is separate from cell {first[k]}")
         first[k] = (x, y)
-    return codes, names
 
 
 # An id's (in, out) turns at a lattice vertex by its membership pattern in the

@@ -15,9 +15,10 @@ tree grows on SAT corners read as Python ints. A merged unit is its leaves in
 id order; ``locate``, loaded or not, descends to their rects from each state's
 root, the rects' bounding box, halving inline by ``subdivide``'s rule.
 
-``Rect`` is defined here, and the module loads without numpy or ``popgrid``:
+``Rect`` and ``StateLabels``, the state label grid that carries its own code
+raster, are defined here, and the module loads without numpy or ``popgrid``:
 results are read, written and queried in plain Python, and only
-``paint_cells`` imports numpy.
+``paint_cells`` and the labels' ``encoding`` import numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -72,6 +73,29 @@ class Rect(_RectFields):
                 yield x, y
 
 
+class StateLabels(tuple):
+    """A state label grid, a tuple of label rows, that carries its encoding:
+    ``StateLabels(rows)`` is ``rows`` when it already is one, so everything
+    handed the grid shares one ``encoding``, built on first use."""
+
+    def __new__(cls, rows):
+        return rows if isinstance(rows, cls) else tuple.__new__(cls, map(tuple, rows))
+
+    @cached_property
+    def encoding(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The read-only int32 raster of each cell's index into the sorted
+        distinct labels, and those labels."""
+        import numpy as np
+
+        # A dict keeps labels exact; numpy's fixed-width strings drop trailing NULs.
+        names = tuple(sorted(set().union(*self)))
+        index = {name: i for i, name in enumerate(names)}
+        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(self)),
+                            dtype=np.int32, count=len(self) * len(self[0])).reshape(len(self), -1)
+        codes.setflags(write=False)
+        return codes, names
+
+
 class Leaf(NamedTuple):
     """A leaf of the partition: its preorder id, rect and population."""
 
@@ -112,19 +136,21 @@ class DelimitationResult:
     width: int
     height: int
     stats: TreeStats
-    state_labels: tuple[tuple[str, ...], ...] | None = None
+    state_labels: StateLabels | None = None
 
     def __post_init__(self):
-        rows = self.state_labels
-        if rows is not None and (len(rows) != self.height
-                                 or any(len(row) != self.width for row in rows)):
-            raise ValueError(f"state labels must be {self.width}x{self.height} like the result")
+        if (rows := self.state_labels) is not None:
+            if len(rows) != self.height or any(len(row) != self.width for row in rows):
+                raise ValueError(f"state labels must be {self.width}x{self.height} like the result")
+            object.__setattr__(self, "state_labels", StateLabels(rows))
 
     @property
     def count(self) -> int:
         return len(self.constituencies)
 
     def by_id(self, cid: int) -> Constituency:
+        if not 1 <= cid <= self.count:
+            raise ValueError(f"constituency id {cid} is outside 1..{self.count}")
         return self.constituencies[cid - 1]
 
     @property
@@ -354,12 +380,9 @@ def paint_cells(result: DelimitationResult) -> np.ndarray:
     """
     import numpy as np
 
-    from .popgrid import encode_labels
-
     owner = np.zeros((result.height, result.width), dtype=np.int64)
     if result.state_labels is not None:
-        # Int codes keep labels exact; numpy's fixed-width strings drop trailing NULs.
-        codes, names = encode_labels(result.state_labels)
+        codes, names = result.state_labels.encoding
         code_of = {name: i for i, name in enumerate(names)}
     for c in result.constituencies:
         for x0, y0, w, h in c.shape:
@@ -480,11 +503,13 @@ def result_from_json(text: str) -> DelimitationResult:
                               TreeStats(stats["nodes"], stats["leaves"], stats["maxDepth"]))
 
 
-def check_result(result: DelimitationResult) -> None:
+def check_result(result: DelimitationResult, scenario: Scenario | None = None) -> None:
     """Raise ``ResultFormatError`` naming the first rule, of those every
     ``delimit`` result keeps, that a loaded result breaks: each constituency's
     flags, in id order, are those its population and the threshold give; then
-    nodes >= leaves >= count."""
+    nodes >= leaves >= count. Given the result's scenario, then also:
+    ``peoplePerDot`` is the scenario's, and each constituency, in id order,
+    has a state iff the scenario has labels, and that state is one of its."""
     for c in result.constituencies:
         flags = _FLAG_SETS[c.population > result.threshold, c.population == 0]
         if c.flags != flags:
@@ -493,3 +518,14 @@ def check_result(result: DelimitationResult) -> None:
     s = result.stats
     _require(s.nodes >= s.leaves >= result.count, "stats must have nodes >= leaves >= count, "
              "got nodes %d, leaves %d, count %d", s.nodes, s.leaves, result.count)
+    if scenario is None:
+        return
+    _require(result.people_per_dot == scenario.people_per_dot,
+             "peoplePerDot %d does not match the scenario's %d",
+             result.people_per_dot, scenario.people_per_dot)
+    states = {None} if scenario.states is None else set(scenario.states)
+    for c in result.constituencies:
+        if c.state not in states:
+            raise ResultFormatError(f"constituency #{c.id}: " + (
+                "state must be given, as the scenario has state labels" if c.state is None
+                else f"state {c.state!r} is not one of the scenario's"))

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .popgrid import DotGrid, encode_labels, outline_loops
+from .popgrid import DotGrid, outline_loops
 from .quadtree import Constituency, DelimitationResult, paint_cells
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -111,13 +111,12 @@ def render_svg(result: DelimitationResult, grid: DotGrid,
         raise ValueError(f"cannot draw {grid.total_dots} dots in an SVG; "
                          f"the limit is {MAX_SVG_DOTS}")
     if result.state_labels is not None:
-        codes, names = encode_labels(result.state_labels)
+        codes, names = result.state_labels.encoding
         for name in filter(_NOT_XML.search, names):
             raise ValueError(f"state label {name!r} cannot be written in XML")
         padded = np.zeros((result.height + 2, result.width + 2),
                           dtype=np.min_scalar_type(len(names)))
         np.add(codes, 1, out=padded[1:-1, 1:-1], casting="unsafe")
-        del codes
     cell = RenderStyle.cell_size_px
     w_px, h_px = grid.width * cell, grid.height * cell
     lines = [

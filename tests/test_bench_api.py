@@ -101,12 +101,18 @@ def test_render_style_calls(draw_dots):
 
 @pytest.mark.parametrize("labeller", LABELLERS)
 def test_scenario_from_state_labels(labeller):
+    # The scenario's own labels, a plain tuple of tuples and a list of lists.
     for s in scenarios(labeller, 95, n=6):
-        again = Scenario(grid=s.grid, people_per_dot=s.people_per_dot,
-                         threshold=s.threshold, state_labels=s.state_labels)
-        assert again.states == s.states
-        assert np.array_equal(again.label_codes, s.label_codes)
-        assert delimit(again).constituencies == delimit(s).constituencies
+        svg = render_svg(delimit(s), s.grid)
+        for labels in (s.state_labels, tuple(map(tuple, s.state_labels)),
+                       [list(row) for row in s.state_labels]):
+            again = Scenario(grid=s.grid, people_per_dot=s.people_per_dot,
+                             threshold=s.threshold, state_labels=labels)
+            assert again.states == s.states
+            assert np.array_equal(again.label_codes, s.label_codes)
+            result = delimit(again)
+            assert result.constituencies == delimit(s).constituencies
+            assert render_svg(result, again.grid) == svg
 
 
 def descending_id_paint(result):

@@ -311,6 +311,23 @@ class TestRenderCommand:
         assert capsys.readouterr().err == "error: state labels must be 16x16 like the result\n"
         assert not svg.exists()
 
+    @pytest.mark.parametrize("param, message", [
+        ([], "peoplePerDot 7 does not match the scenario's 1"),
+        (["--param", "7"], "constituency #1: state must be given, as the scenario has state labels"),
+    ], ids=["own-param", "param-7"])
+    def test_result_of_another_scenario_is_exit_3(self, tmp_path, capsys, param, message):
+        # A result of an unlabelled 4x2 map, rendered over a 4x2 map with states.
+        plain, states = tmp_path / "a.txt", tmp_path / "b.txt"
+        plain.write_text(scenario_text([[5, 0, 2, 9], [1, 1, 0, 3]], 7, 30))
+        states.write_text(scenario_text([[1, 2, 1, 2], [2, 1, 2, 1]], 1, 3,
+                                        [["A", "A", "B", "B"], ["A", "A", "B", "B"]]))
+        out, svg = tmp_path / "ra.json", tmp_path / "map.svg"
+        assert run(["delimit", str(plain), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["render", str(states), *param, "--result", str(out), "--out", str(svg)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not svg.exists()
+
 
 # (result document, scenario of its size, the message of the first rule it breaks)
 UNCHECKED_RESULTS = [

@@ -81,6 +81,27 @@ class TestCountDots:
         with pytest.raises(ValueError, match="^dot counts must be non-negative$"):
             DotGrid([[1, -1]])
 
+    @pytest.mark.parametrize("counts, message", [
+        ([[1.5]], "got dtype float64"),
+        (np.array([[2.7]]), "got dtype float64"),
+        ([["3"]], "got dtype <U1"),
+        ([[True]], "got dtype bool"),
+        ([[INT64_MAX + 1]], "dot count 9223372036854775808 exceeds 2\\*\\*63-1"),
+        (np.array([[1, INT64_MAX + 1]], dtype=np.uint64), "exceeds 2\\*\\*63-1"),
+        ([[2**64]], "got dtype object"),
+        ([[-1, INT64_MAX + 1]], "got dtype float64"),
+    ], ids=["float", "float-array", "str", "bool", "2**63", "uint64-array", "2**64", "mixed"])
+    def test_non_integer_or_too_large_count(self, counts, message):
+        # Nothing is truncated, parsed or left to overflow: each is a ValueError.
+        with pytest.raises(ValueError, match=message):
+            DotGrid(counts)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_other_integer_dtypes_are_read_exactly(self, dtype):
+        counts = np.array([[0, 1], [2, 100]], dtype=dtype)
+        grid = DotGrid(counts)
+        assert grid.counts.dtype == np.int64 and grid.counts.tolist() == [[0, 1], [2, 100]]
+
     def test_full_uniform_grid(self):
         grid = DotGrid([[1] * 4 for _ in range(4)])
         assert grid.count_dots(Rect(0, 0, 4, 4)) == 16

@@ -13,10 +13,10 @@ from quadlimit import Constituency, DotGrid, Leaf, QuadTree, Rect, ResultFormatE
     Scenario, TreeStats, build_tree, check_result, delimit, load_scenario, locate, \
     locate_with_visits, merge_siblings, paint_cells, result_from_json, \
     result_to_json, subdivide, tree_stats
-from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, _units_connected
+from quadlimit.quadtree import OVER_CAPACITY, ZERO_POPULATION, StateLabels, _units_connected
 
 from helpers import DEEP_JSON, NUL_LABELS_TEXT, THREE_BY_ONE, random_l_labels, \
-    random_scenario, random_staircase_labels, scenario_text
+    random_scenario, random_staircase_labels, random_state_labels, scenario_text
 from test_golden import GOLDEN, NON_RECT_GOLDEN, RING_COUNTS, RING_LABELS
 from oracles import _merge_fixpoint, containment_scan, enumerate_merge_outcomes, \
     flood_connected, leaf_owners, oracle_delimit, preorder_nodes, rect_cells, reference_leaves, \
@@ -396,6 +396,38 @@ class TestDelimit:
             if any(OVER_CAPACITY in c.flags for c in result.constituencies):
                 continue
             assert result.stats.max_depth <= max(w, h).bit_length() - 1
+
+
+class TestByIdRange:
+    @pytest.mark.parametrize("cid", [0, -1, 3])
+    def test_id_outside_range_is_value_error(self, cid):
+        result = delimit(load_scenario(scenario_text([[1, 1]], 1, 1)))
+        assert [result.by_id(i).id for i in (1, 2)] == [1, 2]
+        with pytest.raises(ValueError, match=rf"^constituency id {cid} is outside 1\.\.2$"):
+            result.by_id(cid)
+
+
+class TestStateLabels:
+    def test_encoding_is_held_once(self):
+        s = random_scenario(random.Random(24), max_dim=16, with_states=True)
+        labels = s.state_labels
+        assert StateLabels(labels) is labels
+        result = delimit(s)
+        assert result.state_labels is labels
+        assert dataclasses.replace(s, threshold=s.threshold + 1).label_codes is s.label_codes
+        assert dataclasses.replace(result, state_labels=labels).state_labels is labels
+        assert Scenario(s.grid, 1, 1, state_labels=labels).states is s.states
+
+    def test_any_label_grid_becomes_state_labels(self):
+        rows = [["B", "A"], ["B", "B"]]
+        s = Scenario(DotGrid([[1, 2], [3, 4]]), 1, 5, state_labels=rows)
+        assert type(s.state_labels) is StateLabels
+        assert s.state_labels == (("B", "A"), ("B", "B"))
+        assert s.states == ("A", "B") and s.label_codes.tolist() == [[1, 0], [1, 1]]
+        assert not s.label_codes.flags.writeable
+        result = dataclasses.replace(delimit(s), state_labels=rows)
+        assert type(result.state_labels) is StateLabels
+        assert locate(result, 1, 0).state == "A"
 
 
 class TestDelimitStates:
@@ -813,6 +845,41 @@ class TestCheckResult:
         else:
             with pytest.raises(ResultFormatError, match="nodes >= leaves >= count"):
                 check_result(result)
+
+    # (labeller, least side): the staircase and L labellers need six cells a side.
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from([(None, 1), (random_state_labels, 1), (random_staircase_labels, 6),
+                            (random_l_labels, 6)]))
+    @settings(max_examples=150, deadline=None)
+    @example(random.Random(0), ("ring", 0))
+    def test_every_document_delimit_writes_passes_with_its_scenario(self, rng, labelling):
+        labeller, min_dim = labelling
+        if labeller == "ring":
+            s = load_scenario(scenario_text(RING_COUNTS, 10, 60, [r.split() for r in RING_LABELS]))
+        else:
+            s = random_scenario(rng, max_dim=24, with_states=labeller is not None,
+                                min_dim=min_dim, labeller=labeller or random_state_labels)
+        result = delimit(s)
+        check_result(result, s)
+        loaded = result_from_json(result_to_json(result))
+        check_result(dataclasses.replace(loaded, state_labels=s.state_labels), s)
+
+    @pytest.mark.parametrize("people_per_dot, labels, state, message", [
+        (2, None, None, "^peoplePerDot 1 does not match the scenario's 2$"),
+        (1, (("A", "B"),), None,
+         "^constituency #1: state must be given, as the scenario has state labels$"),
+        (1, (("A", "B"),), "C", "^constituency #1: state 'C' is not one of the scenario's$"),
+        (1, None, "A", "^constituency #1: state 'A' is not one of the scenario's$"),
+    ], ids=["people-per-dot", "state-missing", "unknown-state", "state-without-labels"])
+    def test_scenario_rules(self, people_per_dot, labels, state, message):
+        result = delimit(load_scenario(scenario_text([[1, 1]], 1, 1)))
+        check_result(result)
+        cs = [dataclasses.replace(c, state=state) for c in result.constituencies]
+        result = dataclasses.replace(result, constituencies=cs, state_labels=labels)
+        s = Scenario(DotGrid([[1, 1]]), people_per_dot, 1, state_labels=labels)
+        with pytest.raises(ResultFormatError, match=message):
+            check_result(result, s)
+        check_result(result)
 
     def test_every_document_delimit_writes_passes(self):
         scenarios = [load_scenario(scenario_text(RING_COUNTS, 10, 60,
